@@ -1,12 +1,13 @@
-//! Observability overhead: the E1 continuum workload with activity
-//! recording off (the default), on, and on with a JSONL observer
-//! attached. The "off" series is the tier-1 configuration — its cost per
-//! event is one branch per record site — so `off` vs `on` bounds what
-//! `set_observability(true)` buys and costs.
+//! Observability overhead: the E1 continuum workload with telemetry off
+//! (the default) and on (tracing plus activity recording, written out as
+//! JSON Lines). The "off" series is the tier-1 configuration — its cost
+//! per event is a counter bump plus one branch per record site — so
+//! `off` vs `on` bounds what observability buys and costs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use diaspec_bench::continuum;
-use diaspec_runtime::obs::{Activity, JsonlSink, LatencyHistogram, ObsHub, SharedSink};
+use diaspec_runtime::obs::LatencyHistogram;
+use diaspec_runtime::telemetry::{Record, Telemetry};
 use diaspec_runtime::{ProcessingMode, SpanCtx, SpanStage};
 
 fn bench_e1_overhead(c: &mut Criterion) {
@@ -29,26 +30,20 @@ fn bench_e1_overhead(c: &mut Criterion) {
 fn bench_record_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs/record");
 
-    let mut disabled = ObsHub::new();
+    let mut disabled = Telemetry::new();
     group.bench_function("disabled_hub", |b| {
         b.iter(|| {
-            disabled.record(
-                black_box(Activity::Delivering),
-                black_box("Ctx"),
-                black_box(42),
-            );
+            let record = Record::Delivered(black_box("Ctx"), black_box(42), SpanCtx::NONE);
+            disabled.record(0, record)
         });
     });
 
-    let mut enabled = ObsHub::new();
-    enabled.set_enabled(true);
+    let mut enabled = Telemetry::new();
+    enabled.set_observability(true);
     group.bench_function("enabled_hub", |b| {
         b.iter(|| {
-            enabled.record(
-                black_box(Activity::Delivering),
-                black_box("Ctx"),
-                black_box(42),
-            );
+            let record = Record::Delivered(black_box("Ctx"), black_box(42), SpanCtx::NONE);
+            enabled.record(0, record)
         });
     });
 
@@ -61,18 +56,6 @@ fn bench_record_paths(c: &mut Criterion) {
         });
     });
 
-    let mut sinked = ObsHub::new();
-    sinked.attach(Box::new(SharedSink::new(JsonlSink::new(std::io::sink()))));
-    let event = diaspec_runtime::trace::TraceEvent {
-        at: 1,
-        kind: diaspec_runtime::trace::TraceKind::ContextActivation {
-            context: "Ctx".to_owned(),
-        },
-    };
-    group.bench_function("broadcast_to_jsonl_sink", |b| {
-        b.iter(|| sinked.broadcast(black_box(&event)));
-    });
-
     group.finish();
 }
 
@@ -83,32 +66,33 @@ fn bench_record_paths(c: &mut Criterion) {
 fn bench_span_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs/spans");
 
-    let disabled = ObsHub::new();
+    let disabled = Telemetry::new();
     group.bench_function("disabled_gate", |b| {
         b.iter(|| {
             black_box(black_box(&disabled).spans_enabled()) || black_box(SpanCtx::NONE).is_active()
         });
     });
 
-    let mut cheap = ObsHub::new();
-    cheap.set_spans_enabled(true);
+    let mut cheap = Telemetry::new();
+    cheap.set_span_tracing(true);
     cheap.set_span_buffering(false);
-    assert!(!cheap.spans_materializing());
     group.bench_function("cheap_open_close", |b| {
         b.iter(|| {
-            let trace = cheap.mint_trace();
-            let id = cheap.open_span(trace, 0, black_box(SpanStage::Dispatch), "", 0);
-            cheap.close_span(id, 0, black_box(7));
+            let open = cheap.open_root(0, SpanCtx::NONE, black_box(SpanStage::Dispatch), || {
+                unreachable!("labels are only built for buffered spans")
+            });
+            cheap.close(0, open)
         });
     });
 
-    let mut full = ObsHub::new();
-    full.set_spans_enabled(true);
+    let mut full = Telemetry::new();
+    full.set_span_tracing(true);
     group.bench_function("materialized_open_close", |b| {
         b.iter(|| {
-            let trace = full.mint_trace();
-            let id = full.open_span(trace, 0, black_box(SpanStage::Dispatch), "SpotAvail", 0);
-            full.close_span(id, 0, black_box(7));
+            let open = full.open_root(0, SpanCtx::NONE, black_box(SpanStage::Dispatch), || {
+                "SpotAvail".to_owned()
+            });
+            full.close(0, open)
         });
     });
 

@@ -176,7 +176,7 @@ pub fn run(config: &ChurnConfig) -> ChurnRow {
     orch.run_until(config.duration_ms);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    let snapshot = orch.publish_observation();
+    let snapshot = orch.observation();
     let recovering = snapshot.activity(Activity::Recovering);
     let m = *orch.metrics();
     ChurnRow {

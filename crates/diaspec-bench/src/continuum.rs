@@ -7,7 +7,7 @@
 //! scale while the application code stays byte-identical.
 
 use diaspec_apps::parking::{build, ParkingAppConfig};
-use diaspec_runtime::obs::{JsonlSink, SharedSink};
+use diaspec_runtime::obs::write_jsonl;
 use diaspec_runtime::{ObsSnapshot, ProcessingMode};
 use serde::Serialize;
 use std::time::Instant;
@@ -83,8 +83,8 @@ pub struct ObservedRun {
 }
 
 /// Runs one E1 scale point with full observability: activity-duration
-/// recording on and a JSONL observer streaming every trace event (plus
-/// the final snapshot) to `trace_path`.
+/// recording and tracing on, then every drained trace event plus the
+/// final snapshot written as JSON Lines to `trace_path`.
 ///
 /// The transport models a city-scale low-power WAN (uniform 20–200 ms
 /// per hop) so the delivery histogram exercises a realistic spread
@@ -92,7 +92,8 @@ pub struct ObservedRun {
 ///
 /// # Errors
 ///
-/// Propagates trace-file creation errors.
+/// Propagates trace-file write errors, and refuses to write a truncated
+/// trace when the bounded trace buffer dropped events.
 pub fn observed_run(
     sensors_per_lot: usize,
     trace_path: &std::path::Path,
@@ -115,9 +116,7 @@ pub fn observed_run(
     .expect("parking app builds");
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
 
-    let file = std::fs::File::create(trace_path)?;
-    let sink = SharedSink::new(JsonlSink::new(std::io::BufWriter::new(file)));
-    app.orchestrator.attach_observer(Box::new(sink.clone()));
+    app.orchestrator.set_tracing(true);
     app.orchestrator.set_observability(true);
 
     let sim_start = Instant::now();
@@ -127,11 +126,16 @@ pub fn observed_run(
     app.orchestrator.run_until(10 * 60 * 1000 + 1_000);
     let period_wall = sim_start.elapsed();
 
-    let snapshot = app.orchestrator.publish_observation();
-    let trace_lines = sink.with(|s| {
-        let _ = s.flush();
-        s.lines()
-    });
+    let dropped = app.orchestrator.trace_dropped();
+    if dropped > 0 {
+        return Err(std::io::Error::other(format!(
+            "the trace buffer dropped {dropped} events; refusing to write a truncated trace"
+        )));
+    }
+    let snapshot = app.orchestrator.observation();
+    let (trace, spans) = (app.orchestrator.take_trace(), app.orchestrator.take_spans());
+    let file = std::io::BufWriter::new(std::fs::File::create(trace_path)?);
+    let trace_lines = write_jsonl(file, &trace, &spans, &snapshot)?;
 
     let m = *app.orchestrator.metrics();
     let errors = app.orchestrator.drain_errors();

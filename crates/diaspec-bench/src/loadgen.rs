@@ -195,7 +195,7 @@ pub fn run_rate(offered: u64, config: &LoadConfig) -> RateReport {
     assert!(offered > 0, "offered rate must be positive");
     let (mut orch, ids) = build(config.sensors);
     // Cheap-mode tracing: stage histograms accumulate, no span records
-    // materialize (buffering stays off, no observers attached).
+    // materialize (buffering stays off).
     orch.set_span_tracing(true);
     orch.launch().unwrap();
 

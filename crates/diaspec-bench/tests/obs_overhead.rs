@@ -1,73 +1,109 @@
-//! Test-level bound on the observability-disabled hot path.
+//! Test-level bound on the telemetry-disabled hot path.
 //!
-//! With observability off (the default, and the tier-1 configuration),
-//! every instrumentation site in the engine reduces to one call into
-//! `ObsHub::record` that returns after a single branch. This test bounds
-//! that cost directly: even at a generous 50 ns per record and ~10
-//! record sites per orchestration event, the added cost is < 0.5 µs per
-//! event — under 5% of the cheapest E1 event the engine dispatches
-//! (~10 µs each; see the `obs` criterion bench for the end-to-end
-//! off/on comparison).
+//! With tracing, observability and span tracing off (the default, and
+//! the tier-1 configuration), every record site in the engine makes one
+//! `Telemetry::record` call that bumps a counter and returns after a
+//! single branch, and every span site reduces to one branch. These tests
+//! time those calls in a tight loop and bound each below 50 ns — a
+//! generous ceiling for what costs a few nanoseconds.
 
-use diaspec_runtime::obs::{Activity, ObsHub};
-use diaspec_runtime::SpanCtx;
+use diaspec_runtime::entity::EntityId;
+use diaspec_runtime::telemetry::{Open, Record, Telemetry};
+use diaspec_runtime::{Activity, SpanCtx};
 use std::hint::black_box;
+use std::sync::Mutex;
 use std::time::Instant;
+
+/// Held while timing, so the tests of this file never time each other.
+static TIMING: Mutex<()> = Mutex::new(());
+
+/// Nanoseconds per run of `$body` (with `$i` bound to the iteration),
+/// over 2M runs after a warm-up. A macro, not a closure, so that an
+/// unoptimized build times the body and not a call around it.
+macro_rules! ns_per_call {
+    (|$i:ident| $body:block) => {{
+        let _alone = TIMING
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        for $i in 0..10_000u64 {
+            $body
+        }
+        let n = 2_000_000u64;
+        let start = Instant::now();
+        for $i in 0..n {
+            $body
+        }
+        start.elapsed().as_nanos() as f64 / n as f64
+    }};
+}
 
 #[test]
 fn disabled_record_path_is_near_zero() {
-    let mut hub = ObsHub::new();
-    assert!(!hub.is_enabled(), "recording must be off by default");
-
-    // Warm up, then time a tight loop of disabled records.
-    for i in 0..10_000u64 {
-        black_box(&mut hub).record(Activity::Delivering, black_box("Ctx"), black_box(i));
-    }
-    let n = 2_000_000u64;
-    let start = Instant::now();
-    for i in 0..n {
-        black_box(&mut hub).record(Activity::Delivering, black_box("Ctx"), black_box(i));
-    }
-    let elapsed = start.elapsed();
-
-    let ns_per_call = elapsed.as_nanos() as f64 / n as f64;
+    let mut tel = Telemetry::new();
+    let ns = ns_per_call!(|i| {
+        let record = Record::Delivered(black_box("Ctx"), black_box(i), SpanCtx::NONE);
+        black_box(black_box(&mut tel).record(i, record));
+    });
     assert!(
-        ns_per_call < 50.0,
-        "disabled record path costs {ns_per_call:.1} ns/call; expected ~1 ns"
+        ns < 50.0,
+        "disabled record path costs {ns:.1} ns/call; expected ~1 ns"
     );
-    // Nothing was recorded.
-    assert!(hub.histogram(Activity::Delivering).is_empty());
+    // Counted, but nothing was recorded into the activity histogram.
+    assert_eq!(tel.metrics().messages_delivered, 2_010_000);
+    let snapshot = tel.snapshot(0);
+    let delivering = snapshot.activity(Activity::Delivering).unwrap();
+    assert_eq!(delivering.latency.count, 0);
 }
 
 #[test]
 fn disabled_span_sites_stay_within_the_single_branch_budget() {
-    let hub = ObsHub::new();
-    assert!(!hub.spans_enabled(), "span tracing must be off by default");
+    let tel = Telemetry::new();
+    assert!(!tel.spans_enabled(), "span tracing must be off by default");
 
     // With tracing off, a span site in the engine reduces to exactly one
-    // of these two checks: the emission entry gate (`spans_enabled`) or
-    // the propagated-context gate (`SpanCtx::is_active`, trace_id != 0).
-    // No IDs are minted, no labels built, no histograms touched. Bound
-    // both branches directly.
-    for _ in 0..10_000u64 {
-        assert!(!black_box(&hub).spans_enabled());
-        assert!(!black_box(SpanCtx::NONE).is_active());
-    }
-    let n = 2_000_000u64;
-    let start = Instant::now();
-    for _ in 0..n {
-        if black_box(&hub).spans_enabled() {
+    // of these two checks: the flow entry gate (`spans_enabled`) or the
+    // propagated-context gate (`SpanCtx::is_active`, trace_id != 0). No
+    // IDs are minted, no labels built, no histograms touched.
+    let ns = ns_per_call!(|_i| {
+        if black_box(&tel).spans_enabled() {
             unreachable!("tracing is off");
         }
         if black_box(SpanCtx::NONE).is_active() {
             unreachable!("no active span context");
         }
-    }
-    let elapsed = start.elapsed();
-
-    let ns_per_site = elapsed.as_nanos() as f64 / n as f64;
+    });
     assert!(
-        ns_per_site < 50.0,
-        "disabled span site costs {ns_per_site:.1} ns; expected ~1 ns"
+        ns < 50.0,
+        "disabled span site costs {ns:.1} ns; expected ~1 ns"
     );
+}
+
+#[test]
+fn disabled_unified_record_call_is_near_zero() {
+    let mut tel = Telemetry::new();
+    let entity = EntityId::from("sink-1");
+    let error = diaspec_runtime::RuntimeError::Configuration("boom".to_owned());
+    // One record per kind of site, picked at run time so the call
+    // dispatches on an opaque variant as in the engine.
+    let records = [
+        Record::Emission(&entity, "v", Open::NONE),
+        Record::ContextActivation("Ctx"),
+        Record::Computed("Ctx", Open::NONE),
+        Record::Actuation(&entity, "Sink", "absorb", Open::NONE),
+        Record::Fault(&"message drop"),
+        Record::Error(&error),
+        Record::Query,
+        Record::Lost,
+    ];
+    let ns = ns_per_call!(|i| {
+        let record = black_box(&records)[(i & 7) as usize];
+        black_box(black_box(&mut tel).record(i, record));
+    });
+    assert!(
+        ns < 50.0,
+        "disabled record call costs {ns:.1} ns; expected a few ns"
+    );
+    assert!(tel.take_trace().is_empty(), "nothing traced while off");
+    assert_eq!(tel.open_spans(), 0);
+    assert_eq!(tel.metrics().actuations, 2_010_000 / 8);
 }

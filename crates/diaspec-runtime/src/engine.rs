@@ -45,11 +45,12 @@ use crate::entity::{AttributeMap, BindingTime, DeviceInstance, EntityId};
 use crate::error::RuntimeError;
 use crate::fault::{FaultInjector, FaultPlan, RecoveryConfig};
 use crate::metrics::RuntimeMetrics;
-use crate::obs::{self, Activity, ObsHub};
+use crate::obs;
 use crate::payload::Payload;
 use crate::registry::{PolledReading, Registry};
-use crate::spans::{SpanCtx, SpanEvent, SpanStage};
-use crate::trace::{TraceBuffer, TraceEvent, TraceKind};
+use crate::spans::{SpanCtx, SpanEvent};
+use crate::telemetry::{Record, Telemetry};
+use crate::trace::TraceEvent;
 use crate::transport::{SimTransport, TransportConfig};
 use crate::value::Value;
 use diaspec_core::model::{ActivationTrigger, AnnotationArg, CheckedSpec};
@@ -201,7 +202,8 @@ pub struct Orchestrator {
     registry: Registry,
     queue: EventQueue<Event>,
     transport: SimTransport,
-    metrics: RuntimeMetrics,
+    /// The one telemetry recorder: counters, trace, histograms, spans.
+    tel: Telemetry,
     contexts: BTreeMap<String, ContextRuntime>,
     controllers: BTreeMap<String, ControllerRuntime>,
     processes: Vec<ProcessSlot>,
@@ -211,8 +213,6 @@ pub struct Orchestrator {
     /// Errors discarded after [`ERRORS_CAP`] buffered entries; reset by
     /// [`Orchestrator::drain_errors`].
     errors_dropped: u64,
-    trace: TraceBuffer,
-    obs: ObsHub,
     /// Precomputed subscription routes (stage 2 of the delivery
     /// pipeline), shared so fan-out can iterate while scheduling.
     routes: Arc<RouteTable>,
@@ -300,7 +300,7 @@ impl Orchestrator {
             spec,
             queue: EventQueue::new(),
             transport: SimTransport::new(transport),
-            metrics: RuntimeMetrics::default(),
+            tel: Telemetry::new(),
             contexts,
             controllers,
             processes: Vec::new(),
@@ -308,8 +308,6 @@ impl Orchestrator {
             processing: ProcessingMode::default(),
             errors: Vec::new(),
             errors_dropped: 0,
-            trace: TraceBuffer::new(),
-            obs: ObsHub::new(),
             routes,
             qos_budgets,
             quality_budgets,
@@ -379,12 +377,12 @@ impl Orchestrator {
 
     /// Enables or disables execution tracing (off by default).
     pub fn set_tracing(&mut self, enabled: bool) {
-        self.trace.set_enabled(enabled);
+        self.tel.set_tracing(enabled);
     }
 
     /// Removes and returns all trace events recorded since the last call.
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace.take()
+        self.tel.take_trace()
     }
 
     /// Number of trace events dropped because the bounded trace buffer
@@ -392,30 +390,18 @@ impl Orchestrator {
     /// resets the counter, so each drain reports a fresh window).
     #[must_use]
     pub fn trace_dropped(&self) -> u64 {
-        self.trace.dropped()
+        self.tel.trace_dropped()
     }
 
     /// Enables or disables activity-duration recording (off by default).
     ///
     /// While enabled, the engine attributes durations to the paper's four
-    /// activities — binding, delivering, processing, actuating — labeled
-    /// with the component or device family involved, and the simulated
-    /// transport keeps a per-hop latency histogram. Read the results with
-    /// [`Orchestrator::observation`]. While disabled, the per-event cost
-    /// is a single branch.
+    /// activities — binding, delivering, processing, actuating — plus
+    /// recovery, labeled with the component or device family involved.
+    /// Read the results with [`Orchestrator::observation`]. While
+    /// disabled, the per-event cost is a single branch.
     pub fn set_observability(&mut self, enabled: bool) {
-        self.obs.set_enabled(enabled);
-        if enabled {
-            self.transport.enable_latency_histogram();
-        }
-    }
-
-    /// Attaches an observability sink: it is streamed every trace event
-    /// the engine produces (independently of the bounded trace buffer)
-    /// and receives each snapshot published with
-    /// [`Orchestrator::publish_observation`].
-    pub fn attach_observer(&mut self, observer: Box<dyn obs::Observer>) {
-        self.obs.attach(observer);
+        self.tel.set_observability(enabled);
     }
 
     /// Enables or disables causal span tracing (off by default).
@@ -427,7 +413,7 @@ impl Orchestrator {
     /// with [`Orchestrator::take_spans`]). While disabled, the per-site
     /// cost is a single branch.
     pub fn set_span_tracing(&mut self, enabled: bool) {
-        self.obs.set_spans_enabled(enabled);
+        self.tel.set_span_tracing(enabled);
     }
 
     /// Controls whether completed spans are buffered for
@@ -435,19 +421,19 @@ impl Orchestrator {
     /// stays on keeps the IDs and per-stage histograms (the load-harness
     /// configuration) without materializing span events.
     pub fn set_span_buffering(&mut self, enabled: bool) {
-        self.obs.set_span_buffering(enabled);
+        self.tel.set_span_buffering(enabled);
     }
 
     /// Removes and returns all spans completed since the last call.
     pub fn take_spans(&mut self) -> Vec<SpanEvent> {
-        self.obs.take_spans()
+        self.tel.take_spans()
     }
 
     /// Spans dropped because the bounded span buffer overflowed since the
     /// last [`Orchestrator::take_spans`] (draining resets the counter).
     #[must_use]
     pub fn spans_dropped(&self) -> u64 {
-        self.obs.spans_dropped()
+        self.tel.spans_dropped()
     }
 
     /// Number of currently open (unclosed) spans. Zero whenever the
@@ -455,40 +441,7 @@ impl Orchestrator {
     /// before control returns to the caller.
     #[must_use]
     pub fn open_spans(&self) -> usize {
-        self.obs.open_span_count()
-    }
-
-    /// Opens a wall-clock span as a child of `parent` if tracing is
-    /// active for that context, returning the handle [`end_wall_span`]
-    /// needs. The label closure only runs when spans are materialized.
-    fn begin_wall_span(
-        &mut self,
-        parent: SpanCtx,
-        stage: SpanStage,
-        label: &dyn Fn() -> String,
-    ) -> Option<(u64, std::time::Instant)> {
-        if !parent.is_active() {
-            return None;
-        }
-        let text = if self.obs.spans_materializing() {
-            label()
-        } else {
-            String::new()
-        };
-        let now = self.queue.now();
-        let id = self
-            .obs
-            .open_span(parent.trace_id, parent.parent, stage, &text, now);
-        Some((id, std::time::Instant::now()))
-    }
-
-    /// Closes a span opened by [`begin_wall_span`], recording its
-    /// wall-clock extent.
-    fn end_wall_span(&mut self, open: Option<(u64, std::time::Instant)>) {
-        if let Some((id, t0)) = open {
-            let now = self.queue.now();
-            self.obs.close_span(id, now, obs::elapsed_us(t0));
-        }
+        self.tel.open_spans()
     }
 
     /// Samples the engine's occupancy gauges: event-queue composition,
@@ -522,7 +475,7 @@ impl Orchestrator {
             gauge("queue_pending_retries", pending_retry),
             gauge("error_buffer_fill", self.errors.len() as u64),
             gauge("error_buffer_capacity", ERRORS_CAP as u64),
-            gauge("open_spans", self.obs.open_span_count() as u64),
+            gauge("open_spans", self.tel.open_spans() as u64),
         ]
     }
 
@@ -530,47 +483,9 @@ impl Orchestrator {
     /// per-stage latency breakdowns, and occupancy gauges.
     #[must_use]
     pub fn observation(&self) -> obs::ObsSnapshot {
-        let mut snapshot = self.obs.snapshot(self.queue.now());
+        let mut snapshot = self.tel.snapshot(self.queue.now());
         snapshot.gauges = self.sample_gauges();
         snapshot
-    }
-
-    /// Builds a snapshot and pushes it to every attached observer.
-    pub fn publish_observation(&mut self) -> obs::ObsSnapshot {
-        let snapshot = self.observation();
-        self.obs.publish_snapshot(&snapshot);
-        snapshot
-    }
-
-    /// Read access to the activity-duration histograms.
-    #[must_use]
-    pub fn obs(&self) -> &ObsHub {
-        &self.obs
-    }
-
-    /// Read access to the simulated transport (delivery counters and the
-    /// optional per-hop latency histogram).
-    #[must_use]
-    pub fn transport(&self) -> &SimTransport {
-        &self.transport
-    }
-
-    /// Whether trace events need to be materialized: either the bounded
-    /// buffer wants them or an observer is attached.
-    fn trace_active(&self) -> bool {
-        self.trace.is_enabled() || self.obs.has_observers()
-    }
-
-    /// Routes one trace event to the bounded buffer and the observers.
-    fn record_trace(&mut self, at: SimTime, kind: TraceKind) {
-        if self.obs.has_observers() {
-            let event = TraceEvent {
-                at,
-                kind: kind.clone(),
-            };
-            self.obs.broadcast(&event);
-        }
-        self.trace.record(at, kind);
     }
 
     /// Selects how declared MapReduce phases execute.
@@ -593,7 +508,7 @@ impl Orchestrator {
     /// Engine metrics accumulated so far.
     #[must_use]
     pub fn metrics(&self) -> &RuntimeMetrics {
-        &self.metrics
+        self.tel.metrics()
     }
 
     /// Read access to the entity registry.
@@ -637,18 +552,12 @@ impl Orchestrator {
 
     fn contain(&mut self, error: RuntimeError) {
         let at = self.queue.now();
-        self.record_trace(
-            at,
-            TraceKind::Error {
-                message: error.to_string(),
-            },
-        );
+        self.tel.record(at, Record::Error(&error));
         if self.errors.len() < ERRORS_CAP {
             self.errors.push(ContainedError { at, error });
         } else {
             self.errors_dropped += 1;
         }
-        self.metrics.component_errors += 1;
     }
 
     // ---- binding ----------------------------------------------------------
@@ -671,15 +580,11 @@ impl Orchestrator {
             Phase::Launched => BindingTime::Runtime,
         };
         let now = self.queue.now();
-        let started = self.obs.is_enabled().then(std::time::Instant::now);
-        let result = self
-            .registry
-            .bind(id, device_type, attributes, driver, binding_time, now);
-        if let (Some(t0), Ok(())) = (started, &result) {
-            self.obs
-                .record(Activity::Binding, device_type, obs::elapsed_us(t0));
-        }
-        result
+        let start = self.tel.start(SpanCtx::NONE);
+        self.registry
+            .bind(id, device_type, attributes, driver, binding_time, now)?;
+        self.tel.record(now, Record::Bound(device_type, start));
+        Ok(())
     }
 
     /// Unbinds an entity (e.g. a failed or departing device).

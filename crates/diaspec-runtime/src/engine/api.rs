@@ -14,10 +14,8 @@ use crate::component::{ContextLogic, ControllerLogic, MapReduceLogic};
 use crate::engine::Orchestrator;
 use crate::entity::{AttributeMap, DeviceInstance, EntityId};
 use crate::error::RuntimeError;
-use crate::obs::{self, Activity};
 use crate::registry::ErrorPolicy;
-use crate::spans::SpanStage;
-use crate::trace::TraceKind;
+use crate::telemetry::Record;
 use crate::value::Value;
 use diaspec_core::model::InputRef;
 use std::sync::Arc;
@@ -220,7 +218,7 @@ impl ContextApi<'_> {
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
             if let Some(value) = self.engine.registry.query_source(&id, source, now)? {
-                self.engine.metrics.component_queries += 1;
+                self.engine.tel.record(now, Record::Query);
                 out.push((id, value));
             }
         }
@@ -260,7 +258,7 @@ impl ContextApi<'_> {
         let now = self.engine.queue.now();
         let value = self.engine.registry.query_source(entity, source, now)?;
         if value.is_some() {
-            self.engine.metrics.component_queries += 1;
+            self.engine.tel.record(now, Record::Query);
         }
         Ok(value)
     }
@@ -282,7 +280,8 @@ impl ContextApi<'_> {
                 message: format!("design declares no `get {target}`"),
             });
         }
-        self.engine.metrics.component_queries += 1;
+        let now = self.engine.queue.now();
+        self.engine.tel.record(now, Record::Query);
         self.engine.compute_on_demand(target)
     }
 
@@ -374,50 +373,17 @@ impl ControllerApi<'_> {
             });
         }
         let now = self.engine.queue.now();
-        // One Instant serves both the activity histogram and the actuate
-        // span; taken only when either consumer is live.
-        let cursor = self.engine.span_cursor;
-        let started =
-            (self.engine.obs.is_enabled() || cursor.is_active()).then(std::time::Instant::now);
+        // One start serves both the activity histogram and the actuate
+        // span nested in the controller's open compute span.
+        let start = self.engine.tel.start(self.engine.span_cursor);
         let fallbacks_before = self.engine.registry.stats().fallback_invocations;
         self.engine.registry.invoke(entity, action, args, now)?;
-        if let Some(t0) = started {
-            let us = obs::elapsed_us(t0);
-            if self.engine.obs.is_enabled() {
-                let label = format!("{device_type}.{action}");
-                self.engine.obs.record(Activity::Actuating, &label, us);
-            }
-            if cursor.is_active() {
-                // The actuate span nests inside the controller's open
-                // compute span.
-                let label = if self.engine.obs.spans_materializing() {
-                    format!("{device_type}.{action}")
-                } else {
-                    String::new()
-                };
-                let id = self.engine.obs.open_span(
-                    cursor.trace_id,
-                    cursor.parent,
-                    SpanStage::Actuate,
-                    &label,
-                    now,
-                );
-                self.engine.obs.close_span(id, now, us);
-            }
-        }
-        self.engine.metrics.actuations += 1;
-        self.engine.record_trace(
-            now,
-            TraceKind::Actuation {
-                entity: entity.to_string(),
-                action: action.to_owned(),
-            },
-        );
+        let record = Record::Actuation(entity, &device_type, action, start);
+        self.engine.tel.record(now, record);
         // The registry masked the failure with the device's declared
         // `@error(fallback = ...)` action: surface it as a recovery event.
         let masked = self.engine.registry.stats().fallback_invocations - fallbacks_before;
         if masked > 0 {
-            self.engine.metrics.fallback_actuations += masked;
             let fallback = self
                 .engine
                 .spec
@@ -425,30 +391,9 @@ impl ControllerApi<'_> {
                 .map(ErrorPolicy::of_device)
                 .and_then(|policy| policy.fallback)
                 .unwrap_or_default();
-            self.engine.record_trace(
-                now,
-                TraceKind::FallbackActuation {
-                    entity: entity.to_string(),
-                    action: fallback.clone(),
-                },
-            );
-            // A masked fallback is a recovery episode inside the same
-            // trace: a sibling of the actuate span.
-            if cursor.is_active() {
-                let label = if self.engine.obs.spans_materializing() {
-                    format!("{device_type}.{fallback}")
-                } else {
-                    String::new()
-                };
-                self.engine.obs.record_span(
-                    cursor.trace_id,
-                    cursor.parent,
-                    SpanStage::Recover,
-                    &label,
-                    now,
-                    now,
-                );
-            }
+            let cursor = self.engine.span_cursor;
+            let record = Record::Fallback(entity, &device_type, &fallback, masked, cursor);
+            self.engine.tel.record(now, record);
         }
         Ok(())
     }

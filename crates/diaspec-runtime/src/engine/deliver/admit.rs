@@ -7,20 +7,20 @@
 //! and bookkeeping, in this order (the order is pinned by the golden
 //! traces):
 //!
-//! - **emissions**: crashed-device gate → emission metric → `Emission`
-//!   trace → device-type lookup, then hand-off to the route stage;
+//! - **emissions**: crashed-device gate → emission record (metric and
+//!   `Emission` trace) → device-type lookup, then hand-off to the route
+//!   stage;
 //! - **publications**: publish-mode contract (`always` must publish, `no`
-//!   must not) → output-type conformance → publication metric →
-//!   `Publication` trace → cache as the context's last value, then
+//!   must not) → output-type conformance → cache as the context's last
+//!   value → publication record (metric and `Publication` trace), then
 //!   hand-off to the route stage.
 
 use crate::engine::Orchestrator;
 use crate::entity::EntityId;
 use crate::error::RuntimeError;
-use crate::obs;
 use crate::payload::Payload;
 use crate::spans::{SpanCtx, SpanStage};
-use crate::trace::TraceKind;
+use crate::telemetry::Record;
 use crate::value::Value;
 use diaspec_core::model::PublishMode;
 
@@ -87,60 +87,25 @@ impl Orchestrator {
         value: &Payload,
         index: Option<&Payload>,
     ) {
-        let admit = if self.obs.spans_enabled() {
-            let trace_id = self.obs.mint_trace();
-            let label = if self.obs.spans_materializing() {
+        let now = self.queue.now();
+        let admit = self
+            .tel
+            .open_root(now, SpanCtx::NONE, SpanStage::Admit, || {
                 format!("{entity}.{source}")
-            } else {
-                String::new()
-            };
-            let now = self.queue.now();
-            let id = self
-                .obs
-                .open_span(trace_id, 0, SpanStage::Admit, &label, now);
-            Some((trace_id, id, std::time::Instant::now()))
-        } else {
-            None
-        };
-        let device_type = self.admit_emission(entity, source);
-        let span = match admit {
-            Some((trace_id, id, t0)) => {
-                let now = self.queue.now();
-                self.obs.close_span(id, now, obs::elapsed_us(t0));
-                SpanCtx {
-                    trace_id,
-                    parent: id,
-                }
-            }
-            None => SpanCtx::NONE,
-        };
-        let Some(device_type) = device_type else {
+            });
+        // A crashed device emits nothing until it restarts.
+        if self.faults.is_some() && self.registry.is_crashed(entity) {
+            self.tel.close(now, admit);
+            return;
+        }
+        let span = self
+            .tel
+            .record(now, Record::Emission(entity, source, admit));
+        // The entity may have been unbound between emission and dispatch.
+        let Some(device_type) = self.registry.entity(entity).map(|i| i.device_type.clone()) else {
             return;
         };
         self.fan_out_emission(&device_type, entity, source, value, index, span);
-    }
-
-    /// Entry checks and bookkeeping for an emission; returns the emitting
-    /// entity's concrete device type when the emission proceeds.
-    fn admit_emission(&mut self, entity: &EntityId, source: &str) -> Option<String> {
-        // A crashed device emits nothing until it restarts.
-        if self.faults.is_some() && self.registry.is_crashed(entity) {
-            return None;
-        }
-        self.metrics.emissions += 1;
-        if self.trace_active() {
-            let at = self.queue.now();
-            self.record_trace(
-                at,
-                TraceKind::Emission {
-                    entity: entity.to_string(),
-                    source: source.to_owned(),
-                },
-            );
-        }
-        // The entity may have been unbound between emission and dispatch.
-        let info = self.registry.entity(entity)?;
-        Some(info.device_type.clone())
     }
 
     /// Enforces an activation's declared publish mode on its result.
@@ -168,7 +133,8 @@ impl Orchestrator {
                 });
             }
             (PublishMode::Maybe, None) => {
-                self.metrics.publications_declined += 1;
+                let now = self.queue.now();
+                self.tel.record(now, Record::Declined);
             }
             (PublishMode::No, None) => {}
             (PublishMode::Always | PublishMode::Maybe, Some(value)) => {
@@ -192,52 +158,17 @@ impl Orchestrator {
             });
             return;
         }
-        let admit = if self.obs.spans_enabled() {
-            let trace_id = if span.is_active() {
-                span.trace_id
-            } else {
-                self.obs.mint_trace()
-            };
-            let parent = if span.is_active() { span.parent } else { 0 };
-            let label = if self.obs.spans_materializing() {
-                context.to_owned()
-            } else {
-                String::new()
-            };
-            let now = self.queue.now();
-            let id = self
-                .obs
-                .open_span(trace_id, parent, SpanStage::Admit, &label, now);
-            Some((trace_id, id, std::time::Instant::now()))
-        } else {
-            None
-        };
+        let now = self.queue.now();
+        let admit = self
+            .tel
+            .open_root(now, span, SpanStage::Admit, || context.to_owned());
         let payload = Payload::new(value);
-        self.metrics.publications += 1;
-        if self.trace_active() {
-            let at = self.queue.now();
-            self.record_trace(
-                at,
-                TraceKind::Publication {
-                    context: context.to_owned(),
-                    value: payload.to_string(),
-                },
-            );
-        }
         if let Some(runtime) = self.contexts.get_mut(context) {
             runtime.last_value = Some(payload.clone());
         }
-        let ctx = match admit {
-            Some((trace_id, id, t0)) => {
-                let now = self.queue.now();
-                self.obs.close_span(id, now, obs::elapsed_us(t0));
-                SpanCtx {
-                    trace_id,
-                    parent: id,
-                }
-            }
-            None => SpanCtx::NONE,
-        };
+        let ctx = self
+            .tel
+            .record(now, Record::Publication(context, &payload, admit));
         self.fan_out_publication(context, &payload, ctx);
     }
 }

@@ -15,11 +15,10 @@ use crate::component::{BatchData, ContextActivation, MapReduceLogic};
 use crate::engine::{ContextApi, ControllerApi, Orchestrator, ProcessApi, ProcessingMode};
 use crate::error::RuntimeError;
 use crate::fault::{FaultInjector, FaultKind};
-use crate::obs::{self, Activity};
 use crate::payload::Payload;
 use crate::registry::PolledReading;
 use crate::spans::{SpanCtx, SpanStage};
-use crate::trace::TraceKind;
+use crate::telemetry::{Open, Record};
 use crate::value::Value;
 use diaspec_core::model::{ActivationTrigger, InputRef};
 use diaspec_mapreduce::{ExecutionStats, Job, MapCollector, MapReduce, ReduceCollector, TaskError};
@@ -48,11 +47,11 @@ impl Orchestrator {
                 activation_idx,
                 span,
             } => {
-                let open = self.begin_wall_span(span, SpanStage::Dispatch, &|| context.clone());
-                let ctx = open.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-                    trace_id: span.trace_id,
-                    parent: id,
-                });
+                let now = self.queue.now();
+                let open = self
+                    .tel
+                    .open(now, span, SpanStage::Dispatch, || context.clone());
+                let ctx = open.ctx();
                 let input = ContextActivation::SourceEvent {
                     device_type: &device_type,
                     entity: &entity,
@@ -61,7 +60,7 @@ impl Orchestrator {
                     index: index.as_deref(),
                 };
                 self.activate_context(&context, activation_idx, input, ctx);
-                self.end_wall_span(open);
+                self.tel.close(now, open);
             }
             Event::ContextDeliver {
                 context,
@@ -70,17 +69,17 @@ impl Orchestrator {
                 activation_idx,
                 span,
             } => {
-                let open = self.begin_wall_span(span, SpanStage::Dispatch, &|| context.clone());
-                let ctx = open.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-                    trace_id: span.trace_id,
-                    parent: id,
-                });
+                let now = self.queue.now();
+                let open = self
+                    .tel
+                    .open(now, span, SpanStage::Dispatch, || context.clone());
+                let ctx = open.ctx();
                 let input = ContextActivation::ContextEvent {
                     context: &from,
                     value: &value,
                 };
                 self.activate_context(&context, activation_idx, input, ctx);
-                self.end_wall_span(open);
+                self.tel.close(now, open);
             }
             Event::ControllerDeliver {
                 controller,
@@ -88,13 +87,13 @@ impl Orchestrator {
                 value,
                 span,
             } => {
-                let open = self.begin_wall_span(span, SpanStage::Dispatch, &|| controller.clone());
-                let ctx = open.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-                    trace_id: span.trace_id,
-                    parent: id,
-                });
+                let now = self.queue.now();
+                let open = self
+                    .tel
+                    .open(now, span, SpanStage::Dispatch, || controller.clone());
+                let ctx = open.ctx();
                 self.activate_controller(&controller, &from, &value, ctx);
-                self.end_wall_span(open);
+                self.tel.close(now, open);
             }
             Event::PeriodicPoll {
                 context,
@@ -111,16 +110,14 @@ impl Orchestrator {
                 let Some(mut process) = self.processes[idx].process.take() else {
                     return;
                 };
-                let started = self.obs.is_enabled().then(std::time::Instant::now);
+                let start = self.tel.start(SpanCtx::NONE);
                 let next = {
                     let mut api = ProcessApi { engine: self };
                     process.wake(&mut api)
                 };
-                if let Some(t0) = started {
-                    let label = format!("process:{}", self.processes[idx].name);
-                    self.obs
-                        .record(Activity::Processing, &label, obs::elapsed_us(t0));
-                }
+                let now = self.queue.now();
+                let record = Record::ProcessWoke(&self.processes[idx].name, start);
+                self.tel.record(now, record);
                 self.processes[idx].process = Some(process);
                 if let Some(at) = next {
                     self.queue.schedule(at, Event::ProcessWake { idx });
@@ -187,14 +184,8 @@ impl Orchestrator {
             }
         };
         if applied {
-            self.metrics.faults_injected += 1;
             let at = self.queue.now();
-            self.record_trace(
-                at,
-                TraceKind::FaultInjected {
-                    fault: kind.to_string(),
-                },
-            );
+            self.tel.record(at, Record::Fault(&kind));
         }
     }
 
@@ -207,48 +198,13 @@ impl Orchestrator {
         let now = self.queue.now();
         let transitions = self.registry.expire_leases(now);
         for transition in &transitions {
-            self.metrics.lease_expiries += 1;
-            self.record_trace(
-                now,
-                TraceKind::LeaseExpired {
-                    entity: transition.lost.id.to_string(),
-                },
-            );
-            // Recovery cost: how long the loss went undetected (bounded
-            // by the sweep interval).
-            self.obs.record(
-                Activity::Recovering,
+            let record = Record::LeaseExpired(
+                &transition.lost.id,
                 &transition.lost.device_type,
-                now.saturating_sub(transition.deadline),
+                transition.deadline,
+                transition.replacement.as_ref(),
             );
-            // Each recovery episode is its own trace: a root recover span
-            // spanning the undetected-loss window.
-            if self.obs.spans_enabled() {
-                let trace_id = self.obs.mint_trace();
-                let label = if self.obs.spans_materializing() {
-                    transition.lost.device_type.clone()
-                } else {
-                    String::new()
-                };
-                self.obs.record_span(
-                    trace_id,
-                    0,
-                    SpanStage::Recover,
-                    &label,
-                    transition.deadline.min(now),
-                    now,
-                );
-            }
-            if let Some(replacement) = &transition.replacement {
-                self.metrics.rebinds += 1;
-                self.record_trace(
-                    now,
-                    TraceKind::Rebound {
-                        lost: transition.lost.id.to_string(),
-                        replacement: replacement.to_string(),
-                    },
-                );
-            }
+            self.tel.record(now, record);
         }
         for transition in transitions {
             if let Some(replacement) = transition.replacement {
@@ -369,33 +325,16 @@ impl Orchestrator {
         // the per-reading transport sampling (individual readings are not
         // traced — one span per reading would dwarf the data).
         let now = self.queue.now();
-        let admit = if self.obs.spans_enabled() {
-            let trace_id = self.obs.mint_trace();
-            let label = if self.obs.spans_materializing() {
+        let admit = self
+            .tel
+            .open_root(now, SpanCtx::NONE, SpanStage::Admit, || {
                 format!("{context}/poll")
-            } else {
-                String::new()
-            };
-            let id = self
-                .obs
-                .open_span(trace_id, 0, SpanStage::Admit, &label, now);
-            Some((trace_id, id, std::time::Instant::now()))
-        } else {
-            None
-        };
+            });
         let readings = self
             .registry
             .poll(&device, &source, group_attr.as_deref(), now);
-        self.metrics.periodic_deliveries += 1;
-        self.metrics.readings_polled += readings.len() as u64;
-        self.record_trace(
-            now,
-            TraceKind::PeriodicPoll {
-                device: device.clone(),
-                source: source.clone(),
-                readings: readings.len(),
-            },
-        );
+        let polled = Record::Polled(&device, &source, readings.len());
+        self.tel.record(now, polled);
 
         // Each reading crosses the transport; the batch arrives when its
         // slowest surviving reading does. Readings carry payload handles,
@@ -407,35 +346,26 @@ impl Orchestrator {
             if let Some(latency) = outcome.duplicate {
                 // At-least-once delivery: the injected duplicate shows up
                 // as a second copy of the reading in the batch.
-                self.metrics.messages_delivered += 1;
-                self.metrics.total_transport_latency_ms += latency;
-                self.obs.record(Activity::Delivering, context, latency);
+                let record = Record::Delivered(context, latency, SpanCtx::NONE);
+                self.tel.record(now, record);
                 max_latency = max_latency.max(latency);
                 surviving.push(reading.clone());
             }
             match outcome.delivery {
                 Some(latency) => {
-                    self.metrics.messages_delivered += 1;
-                    self.metrics.total_transport_latency_ms += latency;
-                    self.obs.record(Activity::Delivering, context, latency);
+                    let record = Record::Delivered(context, latency, SpanCtx::NONE);
+                    self.tel.record(now, record);
                     max_latency = max_latency.max(latency);
                     surviving.push(reading);
                 }
                 // Dropped poll readings are not retried: the next poll
                 // supersedes them.
-                None => self.metrics.messages_lost += 1,
-            }
-        }
-        let span = match admit {
-            Some((trace_id, id, t0)) => {
-                self.obs.close_span(id, now, obs::elapsed_us(t0));
-                SpanCtx {
-                    trace_id,
-                    parent: id,
+                None => {
+                    self.tel.record(now, Record::Lost);
                 }
             }
-            None => SpanCtx::NONE,
-        };
+        }
+        let span = self.tel.close(now, admit);
 
         // Window accumulation (`every <T>`): buffer until the deadline.
         let deliver = if let Some(window_ms) = window_ms {
@@ -461,11 +391,9 @@ impl Orchestrator {
             // One schedule span stands for the whole batch hop (the batch
             // arrives with its slowest surviving reading). A window flush
             // is attributed to the poll that flushed it.
-            let batch_span = if span.is_active() {
-                self.schedule_span(span, context, max_latency)
-            } else {
-                SpanCtx::NONE
-            };
+            let batch_span = self
+                .tel
+                .record(now, Record::BatchHop(context, max_latency, span));
             self.queue.schedule_in(
                 max_latency,
                 Event::BatchDeliver {
@@ -506,11 +434,11 @@ impl Orchestrator {
         let ActivationTrigger::Periodic { device, source, .. } = activation.trigger.clone() else {
             return;
         };
-        let open = self.begin_wall_span(span, SpanStage::Dispatch, &|| context.to_owned());
-        let ctx = open.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-            trace_id: span.trace_id,
-            parent: id,
-        });
+        let now = self.queue.now();
+        let open = self
+            .tel
+            .open(now, span, SpanStage::Dispatch, || context.to_owned());
+        let ctx = open.ctx();
 
         // Grouping shares the batch's payload handles — a 10k-reading
         // batch groups with 10k pointer bumps, not 10k value copies.
@@ -539,16 +467,13 @@ impl Orchestrator {
                     .and_then(|r| r.map_reduce.clone());
                 match mr {
                     Some(mr) => {
-                        self.metrics.map_reduce_executions += 1;
+                        self.tel.record(now, Record::MapReduce);
                         // Batch ingestion into the MapReduce substrate is
                         // its own span; the per-phase wall times become
                         // compute spans nested under it.
-                        let ingest =
-                            self.begin_wall_span(ctx, SpanStage::Ingest, &|| context.to_owned());
-                        let ingest_ctx = ingest.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-                            trace_id: ctx.trace_id,
-                            parent: id,
-                        });
+                        let ingest = self
+                            .tel
+                            .open(now, ctx, SpanStage::Ingest, || context.to_owned());
                         // Chunk ingestion clones handles: the executor's
                         // input records share the batch's values.
                         let input: Vec<(Payload, Payload)> = readings
@@ -569,54 +494,14 @@ impl Orchestrator {
                         {
                             job = job.fault_plan(plan.clone());
                         }
-                        let outcome = match job.try_run_to_map(&adapter, input) {
+                        match job.try_run_to_map(&adapter, input) {
                             Ok(result) => {
-                                let phases = [
-                                    ("map", result.stats.map_time),
-                                    ("shuffle", result.stats.shuffle_time),
-                                    ("reduce", result.stats.reduce_time),
-                                ];
-                                if self.obs.is_enabled() {
-                                    // Surface the executor's per-phase wall
-                                    // times as processing durations.
-                                    for (phase, time) in phases {
-                                        let us =
-                                            u64::try_from(time.as_micros()).unwrap_or(u64::MAX);
-                                        self.obs.record(
-                                            Activity::Processing,
-                                            &format!("{context}/{phase}"),
-                                            us,
-                                        );
-                                    }
-                                }
-                                if ingest_ctx.is_active() {
-                                    let now = self.queue.now();
-                                    for (phase, time) in phases {
-                                        let us =
-                                            u64::try_from(time.as_micros()).unwrap_or(u64::MAX);
-                                        let label = if self.obs.spans_materializing() {
-                                            format!("{context}/{phase}")
-                                        } else {
-                                            String::new()
-                                        };
-                                        let id = self.obs.open_span(
-                                            ingest_ctx.trace_id,
-                                            ingest_ctx.parent,
-                                            SpanStage::Compute,
-                                            &label,
-                                            now,
-                                        );
-                                        self.obs.close_span(id, now, us);
-                                    }
-                                }
-                                self.account_batch_processing(
-                                    context,
-                                    &result.stats,
-                                    &result.failed_tasks,
-                                );
-                                (Some(result.output), Some(result.stats.coverage))
+                                let stats = &result.stats;
+                                self.account_batch(context, stats, &result.failed_tasks, ingest);
+                                (Some(result.output), Some(stats.coverage))
                             }
                             Err(err) => {
+                                self.tel.close(now, ingest);
                                 // Unreachable while `allow_partial` is set,
                                 // but contained rather than trusted.
                                 self.contain(RuntimeError::Configuration(format!(
@@ -624,9 +509,7 @@ impl Orchestrator {
                                 )));
                                 (None, None)
                             }
-                        };
-                        self.end_wall_span(ingest);
-                        outcome
+                        }
                     }
                     None => {
                         self.contain(RuntimeError::Configuration(format!(
@@ -654,47 +537,24 @@ impl Orchestrator {
             ContextActivation::Batch(&batch),
             ctx,
         );
-        self.end_wall_span(open);
+        self.tel.close(now, open);
     }
 
-    /// Folds one batch execution's fault-tolerance outcome into metrics,
-    /// traces, observability, and the context's `@quality` verdict.
-    fn account_batch_processing(
+    /// Records one batch execution — phase timings, task fates, the
+    /// context's `@quality` verdict — closing its ingest span, and
+    /// contains a coverage shortfall.
+    fn account_batch(
         &mut self,
         context: &str,
         stats: &ExecutionStats,
-        failed_tasks: &[TaskError],
+        failed: &[TaskError],
+        ingest: Open,
     ) {
         let coverage = stats.coverage;
-        self.metrics.task_retries += u64::from(coverage.task_retries);
-        self.metrics.task_speculations += u64::from(coverage.speculative_attempts);
-        self.metrics.tasks_failed += failed_tasks.len() as u64;
-        if coverage.injected_faults > 0 {
-            self.metrics.faults_injected += u64::from(coverage.injected_faults);
-            if let Some(injector) = self.faults.as_mut() {
-                for _ in 0..coverage.injected_faults {
-                    injector.count_injection();
-                }
+        if let Some(injector) = self.faults.as_mut() {
+            for _ in 0..coverage.injected_faults {
+                injector.count_injection();
             }
-        }
-        let at = self.queue.now();
-        if self.trace_active() {
-            for failed in failed_tasks {
-                self.record_trace(
-                    at,
-                    TraceKind::TaskFailed {
-                        context: context.to_owned(),
-                        phase: failed.phase.to_string(),
-                        task: u32::try_from(failed.task).unwrap_or(u32::MAX),
-                        attempts: failed.attempts,
-                    },
-                );
-            }
-        }
-        if self.obs.is_enabled() && !stats.recovery_time.is_zero() {
-            let us = u64::try_from(stats.recovery_time.as_micros()).unwrap_or(u64::MAX);
-            self.obs
-                .record(Activity::Recovering, &format!("{context}/tasks"), us);
         }
         let budget = self
             .quality_budgets
@@ -703,26 +563,16 @@ impl Orchestrator {
             .unwrap_or_default();
         // A missed processing deadline is a QoS violation, not lost
         // coverage: the results are complete, just late.
-        if budget
+        let late = budget
             .deadline_ms
-            .is_some_and(|ms| stats.total_time() > Duration::from_millis(ms))
-        {
-            self.metrics.qos_violations += 1;
-        }
+            .is_some_and(|ms| stats.total_time() > Duration::from_millis(ms));
         let coverage_pct = coverage.percent_covered();
-        if coverage_pct < budget.coverage_pct {
-            self.metrics.batches_degraded += 1;
-            if self.trace_active() {
-                self.record_trace(
-                    at,
-                    TraceKind::BatchDegraded {
-                        context: context.to_owned(),
-                        coverage_pct,
-                        threshold_pct: budget.coverage_pct,
-                        failed_tasks: u32::try_from(failed_tasks.len()).unwrap_or(u32::MAX),
-                    },
-                );
-            }
+        let degraded =
+            (coverage_pct < budget.coverage_pct).then_some((coverage_pct, budget.coverage_pct));
+        let at = self.queue.now();
+        let record = Record::Batch(context, stats, failed, late, degraded, ingest);
+        self.tel.record(at, record);
+        if degraded.is_some() {
             self.contain(RuntimeError::DegradedBatch {
                 context: context.to_owned(),
                 coverage_pct,
@@ -755,26 +605,16 @@ impl Orchestrator {
             });
             return;
         };
-        self.metrics.context_activations += 1;
-        if self.trace_active() {
-            let at = self.queue.now();
-            self.record_trace(
-                at,
-                TraceKind::ContextActivation {
-                    context: name.to_owned(),
-                },
-            );
-        }
+        let now = self.queue.now();
+        self.tel.record(now, Record::ContextActivation(name));
         // The compute span stays open while the logic runs so actuations
         // and query-driven computations nest under it (via span_cursor);
         // it closes before the resulting publication is admitted.
-        let compute = self.begin_wall_span(span, SpanStage::Compute, &|| name.to_owned());
-        let ctx = compute.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-            trace_id: span.trace_id,
-            parent: id,
-        });
+        let compute = self
+            .tel
+            .open(now, span, SpanStage::Compute, || name.to_owned());
+        let ctx = compute.ctx();
         let prev = std::mem::replace(&mut self.span_cursor, ctx);
-        let started = self.obs.is_enabled().then(std::time::Instant::now);
         let result = {
             let mut api = ContextApi {
                 engine: self,
@@ -783,11 +623,7 @@ impl Orchestrator {
             logic.activate(&mut api, input)
         };
         self.span_cursor = prev;
-        if let Some(t0) = started {
-            self.obs
-                .record(Activity::Processing, name, obs::elapsed_us(t0));
-        }
-        self.end_wall_span(compute);
+        self.tel.record(now, Record::Computed(name, compute));
         self.contexts.get_mut(name).expect("context exists").logic = Some(logic);
 
         match result {
@@ -804,24 +640,13 @@ impl Orchestrator {
             });
             return;
         };
-        self.metrics.controller_activations += 1;
-        if self.trace_active() {
-            let at = self.queue.now();
-            self.record_trace(
-                at,
-                TraceKind::ControllerActivation {
-                    controller: name.to_owned(),
-                    from: from.to_owned(),
-                },
-            );
-        }
-        let compute = self.begin_wall_span(span, SpanStage::Compute, &|| name.to_owned());
-        let ctx = compute.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-            trace_id: span.trace_id,
-            parent: id,
-        });
-        let prev = std::mem::replace(&mut self.span_cursor, ctx);
-        let started = self.obs.is_enabled().then(std::time::Instant::now);
+        let now = self.queue.now();
+        self.tel
+            .record(now, Record::ControllerActivation(name, from));
+        let compute = self
+            .tel
+            .open(now, span, SpanStage::Compute, || name.to_owned());
+        let prev = std::mem::replace(&mut self.span_cursor, compute.ctx());
         let result = {
             let mut api = ControllerApi {
                 engine: self,
@@ -830,11 +655,7 @@ impl Orchestrator {
             logic.on_context(&mut api, from, value)
         };
         self.span_cursor = prev;
-        if let Some(t0) = started {
-            self.obs
-                .record(Activity::Processing, name, obs::elapsed_us(t0));
-        }
-        self.end_wall_span(compute);
+        self.tel.record(now, Record::Computed(name, compute));
         self.controllers
             .get_mut(name)
             .expect("controller exists")
@@ -866,19 +687,16 @@ impl Orchestrator {
                 message: "re-entrant on-demand computation (a `get` cycle?)".to_owned(),
             });
         };
-        self.metrics.on_demand_computations += 1;
-        self.metrics.context_activations += 1;
+        let now = self.queue.now();
+        self.tel.record(now, Record::OnDemand);
         // Query-driven computation nests under whatever activation asked
         // for it (the span cursor), forming a compute-inside-compute
         // chain for `get` cascades.
         let cursor = self.span_cursor;
-        let compute = self.begin_wall_span(cursor, SpanStage::Compute, &|| name.to_owned());
-        let ctx = compute.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-            trace_id: cursor.trace_id,
-            parent: id,
-        });
-        let prev = std::mem::replace(&mut self.span_cursor, ctx);
-        let started = self.obs.is_enabled().then(std::time::Instant::now);
+        let compute = self
+            .tel
+            .open(now, cursor, SpanStage::Compute, || name.to_owned());
+        let prev = std::mem::replace(&mut self.span_cursor, compute.ctx());
         let result = {
             let mut api = ContextApi {
                 engine: self,
@@ -887,11 +705,7 @@ impl Orchestrator {
             logic.activate(&mut api, ContextActivation::OnDemand)
         };
         self.span_cursor = prev;
-        if let Some(t0) = started {
-            self.obs
-                .record(Activity::Processing, name, obs::elapsed_us(t0));
-        }
-        self.end_wall_span(compute);
+        self.tel.record(now, Record::Computed(name, compute));
         self.contexts.get_mut(name).expect("context exists").logic = Some(logic);
 
         let computed = result.map_err(RuntimeError::from)?;

@@ -167,13 +167,10 @@ impl Orchestrator {
     ) {
         let routes = Arc::clone(&self.routes);
         let now = self.queue.now();
-        let open = self.begin_wall_span(span, SpanStage::Route, &|| {
+        let open = self.tel.open(now, span, SpanStage::Route, || {
             format!("{device_type}.{source}")
         });
-        let ctx = open.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-            trace_id: span.trace_id,
-            parent: id,
-        });
+        let ctx = open.ctx();
         for route in routes.source_subscribers(device_type, source) {
             let event = Event::SourceDeliver {
                 context: route.context.clone(),
@@ -187,7 +184,7 @@ impl Orchestrator {
             };
             self.send_event(&route.context, true, event, 1, now);
         }
-        self.end_wall_span(open);
+        self.tel.close(now, open);
     }
 
     /// Fans an admitted publication out to its subscribers — downstream
@@ -195,11 +192,10 @@ impl Orchestrator {
     pub(crate) fn fan_out_publication(&mut self, context: &str, value: &Payload, span: SpanCtx) {
         let routes = Arc::clone(&self.routes);
         let now = self.queue.now();
-        let open = self.begin_wall_span(span, SpanStage::Route, &|| context.to_owned());
-        let ctx = open.map_or(SpanCtx::NONE, |(id, _)| SpanCtx {
-            trace_id: span.trace_id,
-            parent: id,
-        });
+        let open = self
+            .tel
+            .open(now, span, SpanStage::Route, || context.to_owned());
+        let ctx = open.ctx();
         for route in routes.context_subscribers(context) {
             let (target, qos_context, event) = match route {
                 ContextRoute::Context {
@@ -229,7 +225,7 @@ impl Orchestrator {
             };
             self.send_event(target, qos_context, event, 1, now);
         }
-        self.end_wall_span(open);
+        self.tel.close(now, open);
     }
 }
 

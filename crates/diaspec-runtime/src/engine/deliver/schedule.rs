@@ -17,9 +17,7 @@
 
 use crate::clock::SimTime;
 use crate::engine::Orchestrator;
-use crate::obs::Activity;
-use crate::spans::{SpanCtx, SpanStage};
-use crate::trace::TraceKind;
+use crate::telemetry::Record;
 use crate::transport::SendOutcome;
 
 use super::Event;
@@ -28,25 +26,17 @@ impl Orchestrator {
     /// Checks a sampled delivery latency against the receiving context's
     /// declared `@qos(latencyMs = N)` budget (paper \[15\]).
     pub(crate) fn check_qos(&mut self, context: &str, latency: SimTime) {
-        if let Some(budget) = self.qos_budgets.get(context) {
-            if latency > *budget {
-                self.metrics.qos_violations += 1;
+        if let Some(&budget) = self.qos_budgets.get(context) {
+            if latency > budget {
                 let at = self.queue.now();
-                self.record_trace(
-                    at,
-                    TraceKind::Error {
-                        message: format!(
-                            "QoS violation: delivery to `{context}` took {latency} ms                              (budget {budget} ms)"
-                        ),
-                    },
-                );
+                self.tel
+                    .record(at, Record::QosViolation(context, latency, budget));
             }
         }
     }
 
     /// Samples one message across the transport, applying the fault
-    /// injector when enabled; injected message faults are counted and
-    /// traced here.
+    /// injector when enabled; injected message faults are recorded here.
     pub(crate) fn sample_send(&mut self) -> SendOutcome {
         let Some(injector) = self.faults.as_mut() else {
             return SendOutcome::without_faults(self.transport.send());
@@ -54,37 +44,15 @@ impl Orchestrator {
         let outcome = self.transport.send_through(injector);
         let at = self.queue.now();
         if outcome.fault_dropped {
-            self.metrics.faults_injected += 1;
-            if self.trace_active() {
-                self.record_trace(
-                    at,
-                    TraceKind::FaultInjected {
-                        fault: "message drop".to_owned(),
-                    },
-                );
-            }
+            self.tel.record(at, Record::Fault(&"message drop"));
         }
         if outcome.extra_delay_ms > 0 {
-            self.metrics.faults_injected += 1;
-            if self.trace_active() {
-                self.record_trace(
-                    at,
-                    TraceKind::FaultInjected {
-                        fault: format!("message delay +{} ms", outcome.extra_delay_ms),
-                    },
-                );
-            }
+            let delay = outcome.extra_delay_ms;
+            let fault = format_args!("message delay +{delay} ms");
+            self.tel.record(at, Record::Fault(&fault));
         }
         if outcome.duplicate.is_some() {
-            self.metrics.faults_injected += 1;
-            if self.trace_active() {
-                self.record_trace(
-                    at,
-                    TraceKind::FaultInjected {
-                        fault: "message duplicate".to_owned(),
-                    },
-                );
-            }
+            self.tel.record(at, Record::Fault(&"message duplicate"));
         }
         outcome
     }
@@ -103,67 +71,37 @@ impl Orchestrator {
         first_sent_at: SimTime,
     ) {
         let outcome = self.sample_send();
-        // The schedule span covers the simulated transport hop — sim-time
-        // extent, recorded as a sibling per scheduled copy. The base
-        // context deliberately keeps the *route* parent so a retried
-        // send's schedule span is a sibling of the failed one.
+        let now = self.queue.now();
+        // Each scheduled copy's schedule span (the simulated hop) is a
+        // sibling under the event's own parent. The base context
+        // deliberately keeps the *route* parent so a retried send's
+        // schedule span is a sibling of the failed one.
         let base = event.span();
         if let Some(latency) = outcome.duplicate {
-            self.metrics.messages_delivered += 1;
-            self.metrics.total_transport_latency_ms += latency;
-            self.obs.record(Activity::Delivering, target, latency);
             let mut copy = event.clone();
-            if base.is_active() {
-                copy.set_span(self.schedule_span(base, target, latency));
-            }
+            copy.set_span(
+                self.tel
+                    .record(now, Record::Delivered(target, latency, base)),
+            );
             self.queue.schedule_in(latency, copy);
         }
         match outcome.delivery {
             Some(latency) => {
-                self.metrics.messages_delivered += 1;
-                self.metrics.total_transport_latency_ms += latency;
-                self.obs.record(Activity::Delivering, target, latency);
+                event.set_span(
+                    self.tel
+                        .record(now, Record::Delivered(target, latency, base)),
+                );
                 if qos_context {
                     self.check_qos(target, latency);
-                }
-                if base.is_active() {
-                    event.set_span(self.schedule_span(base, target, latency));
                 }
                 self.queue.schedule_in(latency, event);
             }
             None if outcome.fault_dropped => {
                 self.schedule_retry(target, event, attempt, first_sent_at);
             }
-            None => self.metrics.messages_lost += 1,
-        }
-    }
-
-    /// Records one transport-hop schedule span (sim-time extent `latency`
-    /// from now) under `base` and returns the context the scheduled copy
-    /// should carry so its dispatch parents under this hop.
-    pub(crate) fn schedule_span(
-        &mut self,
-        base: SpanCtx,
-        target: &str,
-        latency: SimTime,
-    ) -> SpanCtx {
-        let label = if self.obs.spans_materializing() {
-            target.to_owned()
-        } else {
-            String::new()
-        };
-        let now = self.queue.now();
-        let id = self.obs.record_span(
-            base.trace_id,
-            base.parent,
-            SpanStage::Schedule,
-            &label,
-            now,
-            now + latency,
-        );
-        SpanCtx {
-            trace_id: base.trace_id,
-            parent: id,
+            None => {
+                self.tel.record(now, Record::Lost);
+            }
         }
     }
 
@@ -179,49 +117,24 @@ impl Orchestrator {
         failed_attempt: u32,
         first_sent_at: SimTime,
     ) {
+        let now = self.queue.now();
         let Some(retry) = self.recovery.retry else {
-            self.metrics.messages_lost += 1;
+            self.tel.record(now, Record::Lost);
             return;
         };
-        let now = self.queue.now();
         let backoff = retry.backoff_ms(failed_attempt);
         let retries_exhausted = failed_attempt > retry.max_attempts;
         let timed_out =
             now.saturating_add(backoff).saturating_sub(first_sent_at) > retry.timeout_ms;
         if retries_exhausted || timed_out {
-            self.metrics.deliveries_abandoned += 1;
-            self.metrics.messages_lost += 1;
+            self.tel.record(now, Record::Abandoned);
             return;
         }
-        self.metrics.delivery_retries += 1;
-        self.record_trace(
-            now,
-            TraceKind::DeliveryRetry {
-                to: target.to_owned(),
-                attempt: failed_attempt,
-            },
-        );
-        // Recovery cost: the backoff this delivery now waits out.
-        self.obs.record(Activity::Recovering, target, backoff);
         // The retry span covers the backoff wait, a sibling of the failed
         // hop's schedule span (the boxed event keeps its route parent, so
         // the resend's schedule span lands beside this one too).
-        let base = event.span();
-        if base.is_active() {
-            let label = if self.obs.spans_materializing() {
-                target.to_owned()
-            } else {
-                String::new()
-            };
-            self.obs.record_span(
-                base.trace_id,
-                base.parent,
-                SpanStage::Retry,
-                &label,
-                now,
-                now + backoff,
-            );
-        }
+        let record = Record::Retry(target, failed_attempt, backoff, event.span());
+        self.tel.record(now, record);
         self.queue.schedule_in(
             backoff,
             Event::Redeliver {
@@ -255,6 +168,9 @@ mod tests {
         );
         Orchestrator::new(spec)
     }
+
+    use crate::spans::SpanCtx;
+    use crate::trace::TraceKind;
 
     #[test]
     fn qos_budget_violations_are_counted_and_traced() {

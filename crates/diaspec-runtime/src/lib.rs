@@ -47,6 +47,7 @@ pub mod payload;
 pub mod process;
 pub mod registry;
 pub mod spans;
+pub mod telemetry;
 pub mod trace;
 pub mod transport;
 pub mod value;
@@ -57,7 +58,7 @@ pub use deploy::{
 pub use engine::{Orchestrator, Phase, ProcessingMode};
 pub use error::RuntimeError;
 pub use fault::{RecoveryConfig, RetryConfig};
-pub use obs::{Activity, LatencyHistogram, ObsSnapshot, Observer, TransportSample};
+pub use obs::{Activity, LatencyHistogram, ObsSnapshot, TransportSample};
 pub use payload::Payload;
 pub use spans::{SpanCtx, SpanEvent, SpanStage};
 pub use transport::{

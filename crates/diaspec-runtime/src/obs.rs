@@ -1,5 +1,5 @@
-//! Observability: activity-labeled metrics, latency histograms, and a
-//! pluggable observer/export layer.
+//! Observability: activity-labeled latency histograms, snapshots, and
+//! their exports.
 //!
 //! The paper organizes IoT orchestration into four activities — *binding
 //! entities*, *delivering data*, *processing data*, and *actuating
@@ -13,31 +13,28 @@
 //!   rebind, retry backoff, fallback actuation; see [`crate::fault`]);
 //! - [`LatencyHistogram`] is a zero-dependency log-bucketed histogram
 //!   (mergeable, with p50/p90/p99/max readouts);
-//! - [`Observer`] is the pluggable sink interface: attached observers
-//!   receive every [`TraceEvent`] as it happens plus on-demand
-//!   [`ObsSnapshot`]s — [`BufferSink`] keeps a bounded in-memory window,
-//!   [`JsonlSink`] streams JSON Lines to any writer, and
-//!   [`render_prometheus`] renders a snapshot in the Prometheus text
-//!   exposition style;
-//! - [`ObsHub`] ties it together inside the
-//!   [`Orchestrator`](crate::engine::Orchestrator).
+//! - [`ObsSnapshot`] is a point-in-time export: [`render_prometheus`]
+//!   renders it in the Prometheus text exposition style, and
+//!   [`write_jsonl`] writes it as JSON Lines after a drained run's trace
+//!   events and spans. The engine fills it through its one telemetry
+//!   path ([`crate::telemetry`]).
 //!
-//! Delivery durations are *simulation* milliseconds (transport latency);
+//! Delivery and recovery durations are *simulation* milliseconds;
 //! binding, processing, and actuation durations are *wall-clock*
-//! microseconds (simulation time does not advance while component logic
-//! runs). Each activity snapshot carries its unit.
+//! microseconds (component logic does not advance simulation time).
+//! Each activity snapshot carries its unit.
 //!
-//! Everything is **off by default**: with observability disabled and no
-//! observers attached, the engine's hot path pays a single branch per
-//! candidate record site (see the `obs` benchmark in `diaspec-bench`).
+//! Everything is **off by default**: disabled, a record site costs a
+//! counter bump plus one branch (bounded by `diaspec-bench`'s tests).
 
 use crate::clock::SimTime;
-use crate::spans::{SpanEvent, SpanStage, SpanTracer};
+use crate::deploy::SessionStats;
+use crate::spans::{SpanEvent, SpanStage};
 use crate::trace::TraceEvent;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io::Write;
-use std::sync::{Arc, Mutex};
 
 // ---- activities -----------------------------------------------------------
 
@@ -96,16 +93,11 @@ impl Activity {
         }
     }
 
-    /// Dense index in `0..5`, for array-backed storage.
+    /// Dense index in `0..5` (the [`Activity::ALL`] order), for
+    /// array-backed storage.
     #[must_use]
     pub fn index(self) -> usize {
-        match self {
-            Activity::Binding => 0,
-            Activity::Delivering => 1,
-            Activity::Processing => 2,
-            Activity::Actuating => 3,
-            Activity::Recovering => 4,
-        }
+        self as usize
     }
 }
 
@@ -454,7 +446,7 @@ pub struct GaugeSample {
 }
 
 /// Counters of one transport link, sampled at snapshot time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransportSample {
     /// Peer node name (e.g. `edge0`).
     pub peer: String,
@@ -470,11 +462,26 @@ pub struct TransportSample {
     pub frames_received: u64,
     /// Times the link was re-established after a failure.
     pub reconnects: u64,
+    /// Session layer: parked effects replayed after the link healed.
+    #[serde(default)]
+    pub replays: u64,
+    /// Session layer: inline resend attempts.
+    #[serde(default)]
+    pub resends: u64,
+    /// Session layer: requests that exhausted their inline retries.
+    #[serde(default)]
+    pub abandoned: u64,
+    /// Session layer: path probes sent ahead of replays.
+    #[serde(default)]
+    pub probes: u64,
+    /// Session layer: times the circuit breaker tripped open.
+    #[serde(default)]
+    pub breaker_trips: u64,
 }
 
 impl TransportSample {
     /// Labels one link's [`TransportStats`](crate::transport::TransportStats)
-    /// readout with its peer and backend names.
+    /// readout with its peer and backend names (session counters zero).
     #[must_use]
     pub fn from_stats(peer: &str, backend: &str, stats: &crate::transport::TransportStats) -> Self {
         TransportSample {
@@ -485,238 +492,56 @@ impl TransportSample {
             frames_sent: stats.frames_sent,
             frames_received: stats.frames_received,
             reconnects: stats.reconnects,
+            ..TransportSample::default()
         }
     }
-}
 
-// ---- observers ------------------------------------------------------------
+    /// The counters, in [`LINK_FAMILIES`] order.
+    fn counters(&self) -> [u64; 10] {
+        [
+            self.bytes_sent,
+            self.bytes_received,
+            self.frames_sent,
+            self.frames_received,
+            self.reconnects,
+            self.replays,
+            self.resends,
+            self.abandoned,
+            self.probes,
+            self.breaker_trips,
+        ]
+    }
 
-/// A pluggable observability sink.
-///
-/// Attached to an [`Orchestrator`](crate::engine::Orchestrator) via
-/// [`attach_observer`](crate::engine::Orchestrator::attach_observer), an
-/// observer is streamed every [`TraceEvent`] the engine produces
-/// (regardless of whether the bounded internal trace buffer is enabled)
-/// and receives an [`ObsSnapshot`] whenever one is published.
-pub trait Observer {
-    /// Called for each orchestration-level trace event, as it happens.
-    fn on_event(&mut self, _event: &TraceEvent) {}
-
-    /// Called for each completed causal span, as it closes. Only fires
-    /// while span tracing is enabled (see
-    /// `Orchestrator::set_span_tracing`).
-    fn on_span(&mut self, _span: &SpanEvent) {}
-
-    /// Called when a metrics snapshot is published.
-    fn on_snapshot(&mut self, _snapshot: &ObsSnapshot) {}
-}
-
-/// A bounded in-memory sink: the observer counterpart of the engine's
-/// internal trace buffer. Oldest events are dropped past the capacity;
-/// the drop counter resets when the buffer is drained.
-#[derive(Debug)]
-pub struct BufferSink {
-    events: std::collections::VecDeque<TraceEvent>,
-    spans: std::collections::VecDeque<SpanEvent>,
-    snapshots: Vec<ObsSnapshot>,
-    capacity: usize,
-    dropped: u64,
-    spans_dropped: u64,
-}
-
-impl BufferSink {
-    /// Creates a sink holding at most `capacity` events (and, likewise,
-    /// at most `capacity` spans).
+    /// Adds a session link's [`SessionStats`] counters.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        BufferSink {
-            events: std::collections::VecDeque::new(),
-            spans: std::collections::VecDeque::new(),
-            snapshots: Vec::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
-            spans_dropped: 0,
+    pub fn with_session(self, session: &SessionStats) -> Self {
+        TransportSample {
+            replays: session.replays,
+            resends: session.resends,
+            abandoned: session.abandoned,
+            probes: session.probes,
+            breaker_trips: session.breaker_trips,
+            ..self
         }
-    }
-
-    /// Drains the buffered events, resetting the drop counter.
-    pub fn take(&mut self) -> Vec<TraceEvent> {
-        self.dropped = 0;
-        self.events.drain(..).collect()
-    }
-
-    /// Drains the buffered spans, resetting the span drop counter.
-    pub fn take_spans(&mut self) -> Vec<SpanEvent> {
-        self.spans_dropped = 0;
-        self.spans.drain(..).collect()
-    }
-
-    /// Drains the buffered snapshots.
-    pub fn take_snapshots(&mut self) -> Vec<ObsSnapshot> {
-        std::mem::take(&mut self.snapshots)
-    }
-
-    /// Events dropped since the last [`BufferSink::take`].
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Spans dropped since the last [`BufferSink::take_spans`].
-    #[must_use]
-    pub fn spans_dropped(&self) -> u64 {
-        self.spans_dropped
-    }
-}
-
-impl Observer for BufferSink {
-    fn on_event(&mut self, event: &TraceEvent) {
-        if self.events.len() >= self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event.clone());
-    }
-
-    fn on_span(&mut self, span: &SpanEvent) {
-        if self.spans.len() >= self.capacity {
-            self.spans.pop_front();
-            self.spans_dropped += 1;
-        }
-        self.spans.push_back(span.clone());
-    }
-
-    fn on_snapshot(&mut self, snapshot: &ObsSnapshot) {
-        self.snapshots.push(snapshot.clone());
-    }
-}
-
-/// A JSON Lines sink: one JSON object per line, `{"trace": ...}` for
-/// events and `{"snapshot": ...}` for snapshots.
-///
-/// Write errors do not disturb the orchestration; they are counted and
-/// reported by [`JsonlSink::write_errors`].
-#[derive(Debug)]
-pub struct JsonlSink<W: Write> {
-    writer: W,
-    lines: u64,
-    write_errors: u64,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Wraps a writer.
-    pub fn new(writer: W) -> Self {
-        JsonlSink {
-            writer,
-            lines: 0,
-            write_errors: 0,
-        }
-    }
-
-    /// Lines successfully written so far.
-    #[must_use]
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Failed writes so far.
-    #[must_use]
-    pub fn write_errors(&self) -> u64 {
-        self.write_errors
-    }
-
-    /// Flushes the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the writer's flush error.
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        self.writer.flush()
-    }
-
-    /// Unwraps the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-
-    /// Read access to the underlying writer (e.g. to inspect an
-    /// in-memory buffer through a [`SharedSink`]).
-    pub fn writer(&self) -> &W {
-        &self.writer
-    }
-
-    fn write_line(&mut self, line: &str) {
-        match writeln!(self.writer, "{line}") {
-            Ok(()) => self.lines += 1,
-            Err(_) => self.write_errors += 1,
-        }
-    }
-}
-
-impl<W: Write> Observer for JsonlSink<W> {
-    fn on_event(&mut self, event: &TraceEvent) {
-        if let Ok(json) = serde_json::to_string(event) {
-            self.write_line(&format!("{{\"trace\":{json}}}"));
-        }
-    }
-
-    fn on_span(&mut self, span: &SpanEvent) {
-        if let Ok(json) = serde_json::to_string(span) {
-            self.write_line(&format!("{{\"span\":{json}}}"));
-        }
-    }
-
-    fn on_snapshot(&mut self, snapshot: &ObsSnapshot) {
-        if let Ok(json) = serde_json::to_string(snapshot) {
-            self.write_line(&format!("{{\"snapshot\":{json}}}"));
-        }
-        let _ = self.flush();
-    }
-}
-
-/// A cloneable handle that shares one sink between the orchestrator and
-/// the caller: attach a clone, keep the original to inspect the sink
-/// after (or during) the run.
-#[derive(Debug)]
-pub struct SharedSink<S>(Arc<Mutex<S>>);
-
-impl<S> Clone for SharedSink<S> {
-    fn clone(&self) -> Self {
-        SharedSink(Arc::clone(&self.0))
-    }
-}
-
-impl<S> SharedSink<S> {
-    /// Wraps a sink in a shared handle.
-    pub fn new(sink: S) -> Self {
-        SharedSink(Arc::new(Mutex::new(sink)))
-    }
-
-    /// Runs `f` with exclusive access to the sink.
-    pub fn with<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        let mut guard = self
-            .0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        f(&mut guard)
-    }
-}
-
-impl<S: Observer> Observer for SharedSink<S> {
-    fn on_event(&mut self, event: &TraceEvent) {
-        self.with(|s| s.on_event(event));
-    }
-
-    fn on_span(&mut self, span: &SpanEvent) {
-        self.with(|s| s.on_span(span));
-    }
-
-    fn on_snapshot(&mut self, snapshot: &ObsSnapshot) {
-        self.with(|s| s.on_snapshot(snapshot));
     }
 }
 
 // ---- Prometheus text exposition -------------------------------------------
+
+/// The per-link counter families (`diaspec_<name>_total{peer,backend}`)
+/// with their help text, in [`TransportSample::counters`] order.
+const LINK_FAMILIES: [(&str, &str); 10] = [
+    ("transport_bytes_sent", "Payload-frame bytes written."),
+    ("transport_bytes_received", "Payload-frame bytes read."),
+    ("transport_frames_sent", "Envelopes written."),
+    ("transport_frames_received", "Envelopes read."),
+    ("transport_reconnects", "Re-establishments after a failure."),
+    ("session_replays", "Parked effects replayed after healing."),
+    ("session_resends", "Inline resend attempts."),
+    ("session_abandoned", "Requests out of inline retries."),
+    ("session_probes", "Path probes sent ahead of replays."),
+    ("session_breaker_trips", "Times the circuit breaker opened."),
+];
 
 /// Escapes a label value per the Prometheus text exposition format:
 /// backslash, double quote, and line feed.
@@ -727,27 +552,46 @@ fn escape_label(value: &str) -> String {
         .replace('\n', "\\n")
 }
 
-/// Appends a Prometheus `histogram`-typed family (`_bucket`/`_sum`/
-/// `_count` lines) for one latency distribution.
-fn render_histogram_family(
+/// Appends a latency summary family (p50/p90/p99/p99.9 + sum + count)
+/// and its cumulative histogram twin `<family>_hist`, one series per
+/// `(labels, latency, buckets)` row.
+fn render_latency(
     out: &mut String,
     family: &str,
-    base: &str,
-    latency: &HistogramSummary,
-    buckets: &[BucketCount],
+    (help, per): (&str, &str),
+    rows: &[(String, &HistogramSummary, &[BucketCount])],
 ) {
-    for bucket in buckets {
-        out.push_str(&format!(
-            "{family}_bucket{{{base},le=\"{}\"}} {}\n",
-            bucket.le, bucket.count
-        ));
+    let _ = writeln!(out, "# HELP {family} {help}\n# TYPE {family} summary");
+    for (base, latency, _) in rows {
+        for (q, v) in [
+            ("0.5", latency.p50),
+            ("0.9", latency.p90),
+            ("0.99", latency.p99),
+            ("0.999", latency.p999),
+        ] {
+            let _ = writeln!(out, "{family}{{{base},quantile=\"{q}\"}} {v}");
+        }
+        let _ = writeln!(out, "{family}_sum{{{base}}} {}", latency.sum);
+        let _ = writeln!(out, "{family}_count{{{base}}} {}", latency.count);
     }
-    out.push_str(&format!(
-        "{family}_bucket{{{base},le=\"+Inf\"}} {}\n",
-        latency.count
-    ));
-    out.push_str(&format!("{family}_sum{{{base}}} {}\n", latency.sum));
-    out.push_str(&format!("{family}_count{{{base}}} {}\n", latency.count));
+    let family = format!("{family}_hist");
+    let _ = writeln!(
+        out,
+        "# HELP {family} Cumulative duration histogram per {per}.\n# TYPE {family} histogram"
+    );
+    for (base, latency, buckets) in rows {
+        for bucket in *buckets {
+            let (le, count) = (bucket.le, bucket.count);
+            let _ = writeln!(out, "{family}_bucket{{{base},le=\"{le}\"}} {count}");
+        }
+        let _ = writeln!(
+            out,
+            "{family}_bucket{{{base},le=\"+Inf\"}} {}",
+            latency.count
+        );
+        let _ = writeln!(out, "{family}_sum{{{base}}} {}", latency.sum);
+        let _ = writeln!(out, "{family}_count{{{base}}} {}", latency.count);
+    }
 }
 
 /// Renders a snapshot in the Prometheus text exposition style:
@@ -760,448 +604,136 @@ fn render_histogram_family(
 ///   (`_bucket{le=...}`/`_sum`/`_count`) per activity;
 /// - `diaspec_stage_latency` / `diaspec_stage_latency_hist` — the same
 ///   pair per causal-tracing pipeline stage, when spans were recorded;
-/// - `diaspec_transport_bytes_sent_total` /
-///   `diaspec_transport_bytes_received_total` /
-///   `diaspec_transport_frames_sent_total` /
-///   `diaspec_transport_frames_received_total` /
-///   `diaspec_transport_reconnects_total` — per-peer link counters, when
-///   the snapshot carries transport samples;
+/// - `diaspec_transport_<counter>_total` and
+///   `diaspec_session_<counter>_total` — per-peer link and session
+///   counters, when the snapshot carries transport samples;
 /// - one `diaspec_<name>` gauge per occupancy sample in the snapshot.
+///
+/// `docs/OBSERVABILITY.md` catalogues every family with its unit and
+/// labels.
 #[must_use]
 pub fn render_prometheus(snapshot: &ObsSnapshot) -> String {
     let mut out = String::new();
-    out.push_str(
-        "# HELP diaspec_activity_operations_total Operations observed per activity and component.\n",
+    let family = "diaspec_activity_operations_total";
+    let _ = writeln!(
+        out,
+        "# HELP {family} Operations observed per activity and component.\n# TYPE {family} counter"
     );
-    out.push_str("# TYPE diaspec_activity_operations_total counter\n");
     for act in &snapshot.activities {
         for (label, count) in &act.labels {
-            out.push_str(&format!(
-                "diaspec_activity_operations_total{{activity=\"{}\",component=\"{}\"}} {}\n",
-                act.activity,
-                escape_label(label),
-                count
-            ));
-        }
-    }
-    out.push_str(
-        "# HELP diaspec_activity_latency Duration distribution per activity (ms simulated for delivering, us wall otherwise).\n",
-    );
-    out.push_str("# TYPE diaspec_activity_latency summary\n");
-    for act in &snapshot.activities {
-        let base = format!("activity=\"{}\",unit=\"{}\"", act.activity, act.unit);
-        for (q, v) in [
-            ("0.5", act.latency.p50),
-            ("0.9", act.latency.p90),
-            ("0.99", act.latency.p99),
-            ("0.999", act.latency.p999),
-        ] {
-            out.push_str(&format!(
-                "diaspec_activity_latency{{{base},quantile=\"{q}\"}} {v}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "diaspec_activity_latency_sum{{{base}}} {}\n",
-            act.latency.sum
-        ));
-        out.push_str(&format!(
-            "diaspec_activity_latency_count{{{base}}} {}\n",
-            act.latency.count
-        ));
-    }
-    out.push_str(
-        "# HELP diaspec_activity_latency_hist Cumulative duration histogram per activity.\n",
-    );
-    out.push_str("# TYPE diaspec_activity_latency_hist histogram\n");
-    for act in &snapshot.activities {
-        let base = format!("activity=\"{}\",unit=\"{}\"", act.activity, act.unit);
-        render_histogram_family(
-            &mut out,
-            "diaspec_activity_latency_hist",
-            &base,
-            &act.latency,
-            &act.buckets,
-        );
-    }
-    if !snapshot.stages.is_empty() {
-        out.push_str(
-            "# HELP diaspec_stage_latency Per-pipeline-stage duration from causal span tracing.\n",
-        );
-        out.push_str("# TYPE diaspec_stage_latency summary\n");
-        for stage in &snapshot.stages {
-            let base = format!("stage=\"{}\",unit=\"{}\"", stage.stage, stage.unit);
-            for (q, v) in [
-                ("0.5", stage.latency.p50),
-                ("0.9", stage.latency.p90),
-                ("0.99", stage.latency.p99),
-                ("0.999", stage.latency.p999),
-            ] {
-                out.push_str(&format!(
-                    "diaspec_stage_latency{{{base},quantile=\"{q}\"}} {v}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "diaspec_stage_latency_sum{{{base}}} {}\n",
-                stage.latency.sum
-            ));
-            out.push_str(&format!(
-                "diaspec_stage_latency_count{{{base}}} {}\n",
-                stage.latency.count
-            ));
-        }
-        out.push_str(
-            "# HELP diaspec_stage_latency_hist Cumulative duration histogram per pipeline stage.\n",
-        );
-        out.push_str("# TYPE diaspec_stage_latency_hist histogram\n");
-        for stage in &snapshot.stages {
-            let base = format!("stage=\"{}\",unit=\"{}\"", stage.stage, stage.unit);
-            render_histogram_family(
-                &mut out,
-                "diaspec_stage_latency_hist",
-                &base,
-                &stage.latency,
-                &stage.buckets,
+            let (activity, component) = (&act.activity, escape_label(label));
+            let _ = writeln!(
+                out,
+                "{family}{{activity=\"{activity}\",component=\"{component}\"}} {count}"
             );
         }
     }
+    let simulated: Vec<&str> = Activity::ALL
+        .iter()
+        .filter(|a| a.unit() == "ms")
+        .map(|a| a.label())
+        .collect();
+    let help = format!(
+        "Duration distribution per activity (ms simulated for {}, us wall otherwise).",
+        simulated.join(" and ")
+    );
+    let rows: Vec<_> = snapshot
+        .activities
+        .iter()
+        .map(|a| {
+            let base = format!("activity=\"{}\",unit=\"{}\"", a.activity, a.unit);
+            (base, &a.latency, a.buckets.as_slice())
+        })
+        .collect();
+    render_latency(
+        &mut out,
+        "diaspec_activity_latency",
+        (&help, "activity"),
+        &rows,
+    );
+    if !snapshot.stages.is_empty() {
+        let help = "Per-pipeline-stage duration from causal span tracing.";
+        let rows: Vec<_> = snapshot
+            .stages
+            .iter()
+            .map(|s| {
+                let base = format!("stage=\"{}\",unit=\"{}\"", s.stage, s.unit);
+                (base, &s.latency, s.buckets.as_slice())
+            })
+            .collect();
+        render_latency(
+            &mut out,
+            "diaspec_stage_latency",
+            (help, "pipeline stage"),
+            &rows,
+        );
+    }
     if !snapshot.transports.is_empty() {
-        type CounterOf = fn(&TransportSample) -> u64;
-        let families: [(&str, &str, CounterOf); 5] = [
-            (
-                "diaspec_transport_bytes_sent_total",
-                "Payload-frame bytes written per transport link.",
-                |t| t.bytes_sent,
-            ),
-            (
-                "diaspec_transport_bytes_received_total",
-                "Payload-frame bytes read per transport link.",
-                |t| t.bytes_received,
-            ),
-            (
-                "diaspec_transport_frames_sent_total",
-                "Envelopes written per transport link.",
-                |t| t.frames_sent,
-            ),
-            (
-                "diaspec_transport_frames_received_total",
-                "Envelopes read per transport link.",
-                |t| t.frames_received,
-            ),
-            (
-                "diaspec_transport_reconnects_total",
-                "Times a transport link was re-established after a failure.",
-                |t| t.reconnects,
-            ),
-        ];
-        for (family, help, value) in families {
-            out.push_str(&format!("# HELP {family} {help}\n"));
-            out.push_str(&format!("# TYPE {family} counter\n"));
+        for (i, (family, help)) in LINK_FAMILIES.iter().enumerate() {
+            let _ = writeln!(out, "# HELP diaspec_{family}_total {help}");
+            let _ = writeln!(out, "# TYPE diaspec_{family}_total counter");
             for t in &snapshot.transports {
-                out.push_str(&format!(
-                    "{family}{{peer=\"{}\",backend=\"{}\"}} {}\n",
-                    escape_label(&t.peer),
-                    escape_label(&t.backend),
-                    value(t)
-                ));
+                let (peer, backend) = (escape_label(&t.peer), escape_label(&t.backend));
+                let value = t.counters()[i];
+                let _ = writeln!(
+                    out,
+                    "diaspec_{family}_total{{peer=\"{peer}\",backend=\"{backend}\"}} {value}"
+                );
             }
         }
     }
     for gauge in &snapshot.gauges {
         let name = format!("diaspec_{}", gauge.name);
-        out.push_str(&format!(
-            "# HELP {name} Occupancy gauge sampled at snapshot time.\n"
-        ));
-        out.push_str(&format!("# TYPE {name} gauge\n"));
-        out.push_str(&format!("{name} {}\n", gauge.value));
+        let _ = writeln!(
+            out,
+            "# HELP {name} Occupancy gauge sampled at snapshot time."
+        );
+        let _ = writeln!(out, "# TYPE {name} gauge\n{name} {}", gauge.value);
     }
     out
 }
 
-// ---- the hub --------------------------------------------------------------
+// ---- JSON Lines export --------------------------------------------------
 
-struct ActivityStats {
-    hist: LatencyHistogram,
-    labels: BTreeMap<String, u64>,
-}
-
-impl ActivityStats {
-    fn new() -> Self {
-        ActivityStats {
-            hist: LatencyHistogram::new(),
-            labels: BTreeMap::new(),
-        }
-    }
-}
-
-/// The engine-side aggregation point: per-activity histograms, labeled
-/// operation counters, and the list of attached [`Observer`]s.
+/// Writes a drained run as JSON Lines: one `{"trace": ...}` object per
+/// event, one `{"span": ...}` per span, then one `{"snapshot": ...}`.
+/// Returns the number of lines written.
 ///
-/// Duration recording is off by default ([`ObsHub::set_enabled`]); trace
-/// events flow to observers whenever any are attached.
-pub struct ObsHub {
-    enabled: bool,
-    activities: [ActivityStats; 5],
-    observers: Vec<Box<dyn Observer>>,
-    spans: SpanTracer,
-}
-
-impl std::fmt::Debug for ObsHub {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsHub")
-            .field("enabled", &self.enabled)
-            .field("observers", &self.observers.len())
-            .field("spans_enabled", &self.spans.is_enabled())
-            .finish_non_exhaustive()
+/// # Errors
+///
+/// Propagates the writer's I/O errors.
+pub fn write_jsonl(
+    mut out: impl Write,
+    trace: &[TraceEvent],
+    spans: &[SpanEvent],
+    snapshot: &ObsSnapshot,
+) -> std::io::Result<u64> {
+    fn line(out: &mut impl Write, key: &str, value: &impl Serialize) -> std::io::Result<()> {
+        let json = serde_json::to_string(value).map_err(std::io::Error::other)?;
+        writeln!(out, "{{\"{key}\":{json}}}")
     }
-}
-
-impl Default for ObsHub {
-    fn default() -> Self {
-        ObsHub::new()
+    for event in trace {
+        line(&mut out, "trace", event)?;
     }
-}
-
-impl ObsHub {
-    /// Creates a hub with recording disabled and no observers.
-    #[must_use]
-    pub fn new() -> Self {
-        ObsHub {
-            enabled: false,
-            activities: [
-                ActivityStats::new(),
-                ActivityStats::new(),
-                ActivityStats::new(),
-                ActivityStats::new(),
-                ActivityStats::new(),
-            ],
-            observers: Vec::new(),
-            spans: SpanTracer::new(),
-        }
+    for span in spans {
+        line(&mut out, "span", span)?;
     }
-
-    /// Enables or disables duration recording.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Whether duration recording is on. This is the only check on the
-    /// disabled hot path.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Attaches an observer sink.
-    pub fn attach(&mut self, observer: Box<dyn Observer>) {
-        self.observers.push(observer);
-    }
-
-    /// Whether any observer is attached.
-    #[must_use]
-    pub fn has_observers(&self) -> bool {
-        !self.observers.is_empty()
-    }
-
-    /// Records one duration under `activity`, labeled with the component
-    /// or device-family name. No-op while disabled.
-    pub fn record(&mut self, activity: Activity, label: &str, value: u64) {
-        if !self.enabled {
-            return;
-        }
-        let stats = &mut self.activities[activity.index()];
-        stats.hist.record(value);
-        match stats.labels.get_mut(label) {
-            Some(count) => *count += 1,
-            None => {
-                stats.labels.insert(label.to_owned(), 1);
-            }
-        }
-    }
-
-    /// Read access to one activity's histogram.
-    #[must_use]
-    pub fn histogram(&self, activity: Activity) -> &LatencyHistogram {
-        &self.activities[activity.index()].hist
-    }
-
-    /// Streams a trace event to every attached observer.
-    pub fn broadcast(&mut self, event: &TraceEvent) {
-        for observer in &mut self.observers {
-            observer.on_event(event);
-        }
-    }
-
-    // ---- causal spans ----
-
-    /// Enables or disables causal span tracing (implies span buffering
-    /// when enabling).
-    pub fn set_spans_enabled(&mut self, enabled: bool) {
-        self.spans.set_enabled(enabled);
-    }
-
-    /// Whether span tracing is on. This is the only check on the
-    /// disabled span hot path.
-    #[must_use]
-    pub fn spans_enabled(&self) -> bool {
-        self.spans.is_enabled()
-    }
-
-    /// Turns the in-memory completed-span buffer on or off independently
-    /// of span tracing itself. With buffering off and no observers
-    /// attached, spans are not materialized at all — only IDs are minted
-    /// and the per-stage histograms updated (the load-harness
-    /// configuration).
-    pub fn set_span_buffering(&mut self, buffering: bool) {
-        self.spans.set_buffering(buffering);
-    }
-
-    /// Whether closed spans need a materialized [`SpanEvent`] (buffered
-    /// or streamed to an observer) — callers use this to skip building
-    /// label strings.
-    #[must_use]
-    pub fn spans_materializing(&self) -> bool {
-        self.spans.is_buffering() || !self.observers.is_empty()
-    }
-
-    /// Mints a fresh trace ID (flows start at 1).
-    pub fn mint_trace(&mut self) -> u64 {
-        self.spans.mint_trace()
-    }
-
-    /// Opens a span and returns its ID. `label` is only retained when
-    /// [`ObsHub::spans_materializing`] — pass `""` otherwise.
-    pub fn open_span(
-        &mut self,
-        trace_id: u64,
-        parent: u64,
-        stage: SpanStage,
-        label: &str,
-        begin_ms: SimTime,
-    ) -> u64 {
-        let materialize = self.spans_materializing();
-        self.spans
-            .open(trace_id, parent, stage, label, begin_ms, materialize)
-    }
-
-    /// Closes an open span: records the stage histogram and, when
-    /// materializing, buffers the completed span and streams it to every
-    /// attached observer.
-    pub fn close_span(&mut self, span_id: u64, end_ms: SimTime, wall_us: u64) {
-        if let Some(event) = self.spans.close(span_id, end_ms, wall_us) {
-            for observer in &mut self.observers {
-                observer.on_span(&event);
-            }
-        }
-    }
-
-    /// Opens and immediately closes a span covering `[begin_ms, end_ms]`
-    /// in simulated time (the shape of transport-side spans, whose
-    /// extent is known up front). Returns the span's ID.
-    pub fn record_span(
-        &mut self,
-        trace_id: u64,
-        parent: u64,
-        stage: SpanStage,
-        label: &str,
-        begin_ms: SimTime,
-        end_ms: SimTime,
-    ) -> u64 {
-        let span_id = self.open_span(trace_id, parent, stage, label, begin_ms);
-        self.close_span(span_id, end_ms, 0);
-        span_id
-    }
-
-    /// Drains the completed-span buffer, resetting its drop counter.
-    pub fn take_spans(&mut self) -> Vec<SpanEvent> {
-        self.spans.take()
-    }
-
-    /// Spans dropped from the bounded buffer since the last drain.
-    #[must_use]
-    pub fn spans_dropped(&self) -> u64 {
-        self.spans.dropped()
-    }
-
-    /// Number of currently open (unclosed) spans.
-    #[must_use]
-    pub fn open_span_count(&self) -> usize {
-        self.spans.open_count()
-    }
-
-    /// Read access to one pipeline stage's latency histogram.
-    #[must_use]
-    pub fn stage_histogram(&self, stage: SpanStage) -> &LatencyHistogram {
-        self.spans.stage_histogram(stage)
-    }
-
-    // ---- snapshots ----
-
-    /// Builds a snapshot of everything recorded so far. Stage breakdowns
-    /// are included once span tracing has ever been enabled; gauges are
-    /// filled in by the orchestrator, which owns the queues being
-    /// sampled.
-    #[must_use]
-    pub fn snapshot(&self, at: SimTime) -> ObsSnapshot {
-        let include_stages = self.spans.is_enabled()
-            || SpanStage::ALL
-                .iter()
-                .any(|&s| !self.spans.stage_histogram(s).is_empty());
-        ObsSnapshot {
-            at,
-            activities: Activity::ALL
-                .iter()
-                .map(|&activity| {
-                    let stats = &self.activities[activity.index()];
-                    ActivitySnapshot {
-                        activity: activity.label().to_owned(),
-                        unit: activity.unit().to_owned(),
-                        latency: stats.hist.summary(),
-                        labels: stats.labels.clone(),
-                        buckets: stats.hist.cumulative_buckets(),
-                    }
-                })
-                .collect(),
-            stages: if include_stages {
-                SpanStage::ALL
-                    .iter()
-                    .map(|&stage| {
-                        let hist = self.spans.stage_histogram(stage);
-                        StageSnapshot {
-                            stage: stage.label().to_owned(),
-                            unit: stage.unit().to_owned(),
-                            latency: hist.summary(),
-                            buckets: hist.cumulative_buckets(),
-                        }
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            },
-            gauges: Vec::new(),
-            transports: Vec::new(),
-        }
-    }
-
-    /// Builds a snapshot and pushes it to every attached observer.
-    pub fn publish(&mut self, at: SimTime) -> ObsSnapshot {
-        let snapshot = self.snapshot(at);
-        self.publish_snapshot(&snapshot);
-        snapshot
-    }
-
-    /// Pushes an already-built snapshot (e.g. one augmented with gauges)
-    /// to every attached observer.
-    pub fn publish_snapshot(&mut self, snapshot: &ObsSnapshot) {
-        for observer in &mut self.observers {
-            observer.on_snapshot(snapshot);
-        }
-    }
+    line(&mut out, "snapshot", snapshot)?;
+    out.flush()?;
+    Ok((trace.len() + spans.len() + 1) as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceKind;
+    use crate::telemetry::{Record, Telemetry};
+
+    /// A recorder with the activity histograms on.
+    fn observing() -> Telemetry {
+        let mut hub = Telemetry::new();
+        hub.set_observability(true);
+        hub
+    }
 
     #[test]
     fn small_values_have_exact_buckets() {
@@ -1292,12 +824,12 @@ mod tests {
 
     #[test]
     fn disabled_hub_records_nothing() {
-        let mut hub = ObsHub::new();
-        hub.record(Activity::Delivering, "Ctx", 5);
-        assert!(hub.histogram(Activity::Delivering).is_empty());
-        hub.set_enabled(true);
-        hub.record(Activity::Delivering, "Ctx", 5);
-        hub.record(Activity::Delivering, "Ctx", 7);
+        let mut hub = Telemetry::new();
+        hub.observe(Activity::Delivering, "Ctx", 5);
+        assert_eq!(hub.snapshot(0).activities[1].latency.count, 0);
+        hub.set_observability(true);
+        hub.observe(Activity::Delivering, "Ctx", 5);
+        hub.observe(Activity::Delivering, "Ctx", 7);
         let snap = hub.snapshot(42);
         let delivering = snap.activity(Activity::Delivering).unwrap();
         assert_eq!(delivering.latency.count, 2);
@@ -1307,70 +839,11 @@ mod tests {
     }
 
     #[test]
-    fn buffer_sink_is_bounded_and_resets_dropped_on_take() {
-        let mut sink = BufferSink::new(2);
-        for at in 0..5 {
-            sink.on_event(&TraceEvent {
-                at,
-                kind: TraceKind::ContextActivation {
-                    context: "C".into(),
-                },
-            });
-        }
-        assert_eq!(sink.dropped(), 3);
-        let events = sink.take();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].at, 3, "oldest dropped");
-        assert_eq!(sink.dropped(), 0, "drained buffers start a fresh window");
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_object_per_line() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.on_event(&TraceEvent {
-            at: 7,
-            kind: TraceKind::Actuation {
-                entity: "tv".into(),
-                action: "on".into(),
-            },
-        });
-        let mut hub = ObsHub::new();
-        hub.set_enabled(true);
-        hub.record(Activity::Actuating, "Tv.on", 12);
-        sink.on_snapshot(&hub.snapshot(9));
-        assert_eq!(sink.lines(), 2);
-        assert_eq!(sink.write_errors(), 0);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let trace: serde_json::Value = serde_json::from_str(lines[0]).unwrap();
-        assert!(!trace["trace"].is_null());
-        let snap: serde_json::Value = serde_json::from_str(lines[1]).unwrap();
-        assert_eq!(snap["snapshot"]["at"].as_u64(), Some(9));
-    }
-
-    #[test]
-    fn shared_sink_exposes_contents_after_attachment() {
-        let shared = SharedSink::new(BufferSink::new(10));
-        let mut hub = ObsHub::new();
-        hub.attach(Box::new(shared.clone()));
-        assert!(hub.has_observers());
-        hub.broadcast(&TraceEvent {
-            at: 1,
-            kind: TraceKind::Error {
-                message: "x".into(),
-            },
-        });
-        assert_eq!(shared.with(|s| s.take().len()), 1);
-    }
-
-    #[test]
     fn prometheus_rendering_has_counters_and_summaries() {
-        let mut hub = ObsHub::new();
-        hub.set_enabled(true);
-        hub.record(Activity::Delivering, "AvgTemp", 10);
-        hub.record(Activity::Delivering, "AvgTemp", 30);
-        hub.record(Activity::Processing, "AvgTemp", 250);
+        let mut hub = observing();
+        hub.observe(Activity::Delivering, "AvgTemp", 10);
+        hub.observe(Activity::Delivering, "AvgTemp", 30);
+        hub.observe(Activity::Processing, "AvgTemp", 250);
         let text = render_prometheus(&hub.snapshot(0));
         assert!(text.contains(
             "diaspec_activity_operations_total{activity=\"delivering\",component=\"AvgTemp\"} 2"
@@ -1380,13 +853,14 @@ mod tests {
             text.contains("diaspec_activity_latency_count{activity=\"delivering\",unit=\"ms\"} 2")
         );
         assert!(text.contains("quantile=\"0.99\""));
+        // The HELP line names every simulated-time activity.
+        assert!(text.contains("(ms simulated for delivering and recovering, us wall otherwise)"));
     }
 
     #[test]
     fn prometheus_label_values_are_escaped() {
-        let mut hub = ObsHub::new();
-        hub.set_enabled(true);
-        hub.record(Activity::Processing, "weird\\label\"with\nnewline", 1);
+        let mut hub = observing();
+        hub.observe(Activity::Processing, "weird\\label\"with\nnewline", 1);
         let text = render_prometheus(&hub.snapshot(0));
         assert!(
             text.contains("component=\"weird\\\\label\\\"with\\nnewline\""),
@@ -1403,7 +877,7 @@ mod tests {
 
     #[test]
     fn prometheus_renders_a_fully_empty_snapshot() {
-        let hub = ObsHub::new();
+        let hub = Telemetry::new();
         let text = render_prometheus(&hub.snapshot(0));
         // No counters (no labels recorded), but every activity still gets
         // a well-formed summary with zero counts.
@@ -1425,9 +899,8 @@ mod tests {
 
     #[test]
     fn recovering_activity_is_exported() {
-        let mut hub = ObsHub::new();
-        hub.set_enabled(true);
-        hub.record(Activity::Recovering, "Altimeter", 5_000);
+        let mut hub = observing();
+        hub.observe(Activity::Recovering, "Altimeter", 5_000);
         let snap = hub.snapshot(1);
         let rec = snap.activity(Activity::Recovering).unwrap();
         assert_eq!(rec.unit, "ms");
@@ -1438,9 +911,8 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_json() {
-        let mut hub = ObsHub::new();
-        hub.set_enabled(true);
-        hub.record(Activity::Binding, "PresenceSensor", 90);
+        let mut hub = observing();
+        hub.observe(Activity::Binding, "PresenceSensor", 90);
         let snap = hub.snapshot(123);
         let json = serde_json::to_string(&snap).unwrap();
         let back: ObsSnapshot = serde_json::from_str(&json).unwrap();
@@ -1477,10 +949,9 @@ mod tests {
 
     #[test]
     fn prometheus_renders_cumulative_histograms_and_gauges() {
-        let mut hub = ObsHub::new();
-        hub.set_enabled(true);
-        hub.record(Activity::Delivering, "AvgTemp", 10);
-        hub.record(Activity::Delivering, "AvgTemp", 3_000);
+        let mut hub = observing();
+        hub.observe(Activity::Delivering, "AvgTemp", 10);
+        hub.observe(Activity::Delivering, "AvgTemp", 3_000);
         let mut snap = hub.snapshot(0);
         snap.gauges.push(GaugeSample {
             name: "queue_depth".into(),
@@ -1506,7 +977,7 @@ mod tests {
 
     #[test]
     fn prometheus_renders_per_peer_transport_counters() {
-        let hub = ObsHub::new();
+        let hub = Telemetry::new();
         let mut snap = hub.snapshot(0);
         // No links sampled: the transport families are absent entirely.
         assert!(!render_prometheus(&snap).contains("diaspec_transport_"));
@@ -1520,9 +991,14 @@ mod tests {
         };
         snap.transports
             .push(TransportSample::from_stats("edge0", "tcp", &stats));
+        let session = SessionStats {
+            replays: 4,
+            breaker_trips: 1,
+            ..SessionStats::default()
+        };
         snap.transports.push(TransportSample {
             reconnects: 3,
-            ..TransportSample::from_stats("edge1", "tcp", &stats)
+            ..TransportSample::from_stats("edge1", "tcp", &stats).with_session(&session)
         });
         let text = render_prometheus(&snap);
         assert!(text.contains("# TYPE diaspec_transport_bytes_sent_total counter"));
@@ -1540,6 +1016,11 @@ mod tests {
         assert!(
             text.contains("diaspec_transport_reconnects_total{peer=\"edge1\",backend=\"tcp\"} 3")
         );
+        assert!(text.contains("diaspec_session_replays_total{peer=\"edge1\",backend=\"tcp\"} 4"));
+        assert!(text.contains("diaspec_session_replays_total{peer=\"edge0\",backend=\"tcp\"} 0"));
+        assert!(
+            text.contains("diaspec_session_breaker_trips_total{peer=\"edge1\",backend=\"tcp\"} 1")
+        );
         assert_eq!(snap.transport("edge1").unwrap().reconnects, 3);
         assert!(snap.transport("edge9").is_none());
         // The section survives a JSON round-trip, and old snapshots
@@ -1551,10 +1032,16 @@ mod tests {
 
     #[test]
     fn prometheus_renders_stage_breakdowns_when_spans_ran() {
-        let mut hub = ObsHub::new();
-        hub.set_spans_enabled(true);
-        let trace = hub.mint_trace();
-        hub.record_span(trace, 0, SpanStage::Schedule, "Ctx", 0, 40);
+        let mut hub = Telemetry::new();
+        hub.set_span_tracing(true);
+        let admit = hub.open_root(
+            0,
+            crate::spans::SpanCtx::NONE,
+            SpanStage::Admit,
+            String::new,
+        );
+        let flow = hub.close(0, admit);
+        hub.record(0, Record::BatchHop("Ctx", 40, flow));
         let snap = hub.snapshot(40);
         assert_eq!(snap.stages.len(), SpanStage::ALL.len());
         let sched = snap.stage(SpanStage::Schedule).unwrap();
@@ -1569,35 +1056,21 @@ mod tests {
     }
 
     #[test]
-    fn hub_spans_stream_to_observers_and_buffer() {
-        let shared = SharedSink::new(BufferSink::new(10));
-        let mut hub = ObsHub::new();
-        hub.attach(Box::new(shared.clone()));
-        hub.set_spans_enabled(true);
-        assert!(hub.spans_materializing());
-        let trace = hub.mint_trace();
-        let admit = hub.open_span(trace, 0, SpanStage::Admit, "s.v", 5);
-        hub.close_span(admit, 5, 12);
-        let streamed = shared.with(BufferSink::take_spans);
-        assert_eq!(streamed.len(), 1);
-        assert_eq!(streamed[0].label, "s.v");
-        assert_eq!(streamed[0].wall_us, 12);
-        let buffered = hub.take_spans();
-        assert_eq!(buffered, streamed);
-        assert_eq!(hub.open_span_count(), 0);
-        assert_eq!(hub.stage_histogram(SpanStage::Admit).count(), 1);
-    }
-
-    #[test]
     fn hub_spans_without_buffer_or_observers_keep_histograms_only() {
-        let mut hub = ObsHub::new();
-        hub.set_spans_enabled(true);
+        let mut hub = Telemetry::new();
+        hub.set_span_tracing(true);
         hub.set_span_buffering(false);
-        assert!(!hub.spans_materializing());
-        let trace = hub.mint_trace();
-        let id = hub.open_span(trace, 0, SpanStage::Dispatch, "", 0);
-        hub.close_span(id, 0, 99);
+        let id = hub.open_root(0, crate::spans::SpanCtx::NONE, SpanStage::Dispatch, || {
+            unreachable!("labels are only built for buffered spans")
+        });
+        hub.close(0, id);
         assert!(hub.take_spans().is_empty());
-        assert_eq!(hub.stage_histogram(SpanStage::Dispatch).count(), 1);
+        let dispatches = hub
+            .snapshot(0)
+            .stage(SpanStage::Dispatch)
+            .unwrap()
+            .latency
+            .count;
+        assert_eq!(dispatches, 1);
     }
 }

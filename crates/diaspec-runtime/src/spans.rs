@@ -25,15 +25,13 @@
 //! ## Cost
 //!
 //! Span tracing is off by default. Disabled, every candidate site is a
-//! single branch and allocates nothing. Enabled without a buffer or
-//! observers (the load-harness configuration), spans are not
-//! materialized at all: only IDs are minted and per-stage histograms
-//! updated — no per-span allocation.
+//! single branch and allocates nothing. Enabled without the buffer (the
+//! load-harness configuration), spans are not materialized at all: only
+//! IDs are minted and per-stage histograms updated — no per-span
+//! allocation.
 
 use crate::clock::SimTime;
-use crate::obs::LatencyHistogram;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -104,20 +102,11 @@ impl SpanStage {
         }
     }
 
-    /// Dense index in `0..9`, for array-backed storage.
+    /// Dense index in `0..9` (the [`SpanStage::ALL`] order), for
+    /// array-backed storage.
     #[must_use]
     pub fn index(self) -> usize {
-        match self {
-            SpanStage::Admit => 0,
-            SpanStage::Route => 1,
-            SpanStage::Schedule => 2,
-            SpanStage::Dispatch => 3,
-            SpanStage::Compute => 4,
-            SpanStage::Actuate => 5,
-            SpanStage::Retry => 6,
-            SpanStage::Recover => 7,
-            SpanStage::Ingest => 8,
-        }
+        self as usize
     }
 }
 
@@ -200,171 +189,6 @@ impl fmt::Display for SpanEvent {
             self.duration(),
             self.stage.unit(),
         )
-    }
-}
-
-// ---- the tracer -----------------------------------------------------------
-
-/// Cap on buffered completed spans (mirrors the trace buffer's bound).
-const SPAN_BUFFER_CAP: usize = 100_000;
-
-struct OpenSpan {
-    span_id: u64,
-    trace_id: u64,
-    parent: u64,
-    stage: SpanStage,
-    begin_ms: SimTime,
-    /// Only populated when spans are being materialized.
-    label: Option<String>,
-}
-
-/// The engine-side span recorder: ID minting, the open-span stack,
-/// per-stage latency histograms, and the bounded completed-span buffer.
-///
-/// Lives inside the [`ObsHub`](crate::obs::ObsHub); the engine drives it
-/// through the hub so completed spans also reach attached observers.
-pub(crate) struct SpanTracer {
-    enabled: bool,
-    buffering: bool,
-    next_trace: u64,
-    next_span: u64,
-    open: Vec<OpenSpan>,
-    buffer: VecDeque<SpanEvent>,
-    dropped: u64,
-    stages: Vec<LatencyHistogram>,
-}
-
-impl SpanTracer {
-    pub(crate) fn new() -> Self {
-        SpanTracer {
-            enabled: false,
-            buffering: false,
-            next_trace: 1,
-            next_span: 1,
-            open: Vec::new(),
-            buffer: VecDeque::new(),
-            dropped: 0,
-            stages: SpanStage::ALL
-                .iter()
-                .map(|_| LatencyHistogram::new())
-                .collect(),
-        }
-    }
-
-    pub(crate) fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        self.buffering = enabled;
-    }
-
-    pub(crate) fn set_buffering(&mut self, buffering: bool) {
-        self.buffering = buffering;
-    }
-
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    pub(crate) fn is_buffering(&self) -> bool {
-        self.buffering
-    }
-
-    pub(crate) fn mint_trace(&mut self) -> u64 {
-        let id = self.next_trace;
-        self.next_trace += 1;
-        id
-    }
-
-    pub(crate) fn open(
-        &mut self,
-        trace_id: u64,
-        parent: u64,
-        stage: SpanStage,
-        label: &str,
-        begin_ms: SimTime,
-        materialize: bool,
-    ) -> u64 {
-        let span_id = self.next_span;
-        self.next_span += 1;
-        self.open.push(OpenSpan {
-            span_id,
-            trace_id,
-            parent,
-            stage,
-            begin_ms,
-            label: materialize.then(|| label.to_owned()),
-        });
-        span_id
-    }
-
-    /// Closes an open span, recording its duration in the stage
-    /// histogram. Returns the completed event when materializing (for
-    /// observer broadcast); buffers it when buffering is on.
-    ///
-    /// Closure is stack-disciplined: wall-clock spans nest strictly
-    /// (dispatch contains compute contains the next flow's admit), and
-    /// sim-time spans open and close in one call — so the span being
-    /// closed is always the most recently opened one still open.
-    pub(crate) fn close(
-        &mut self,
-        span_id: u64,
-        end_ms: SimTime,
-        wall_us: u64,
-    ) -> Option<SpanEvent> {
-        debug_assert_eq!(
-            self.open.last().map(|s| s.span_id),
-            Some(span_id),
-            "span closure must be LIFO"
-        );
-        let idx = self.open.iter().rposition(|s| s.span_id == span_id)?;
-        let open = self.open.remove(idx);
-        let end_ms = end_ms.max(open.begin_ms);
-        let duration = if open.stage.unit() == "ms" {
-            end_ms - open.begin_ms
-        } else {
-            wall_us
-        };
-        self.stages[open.stage.index()].record(duration);
-        let label = open.label?;
-        let event = SpanEvent {
-            trace_id: open.trace_id,
-            span_id: open.span_id,
-            parent: open.parent,
-            stage: open.stage,
-            label,
-            begin_ms: open.begin_ms,
-            end_ms,
-            wall_us,
-        };
-        if self.buffering {
-            if self.buffer.len() >= SPAN_BUFFER_CAP {
-                self.buffer.pop_front();
-                self.dropped += 1;
-            }
-            self.buffer.push_back(event.clone());
-        }
-        Some(event)
-    }
-
-    pub(crate) fn open_count(&self) -> usize {
-        self.open.len()
-    }
-
-    pub(crate) fn take(&mut self) -> Vec<SpanEvent> {
-        self.dropped = 0;
-        // Spans land in the buffer when they close, but consumers (the
-        // validator, the canonical rendering) want open order — IDs are
-        // minted at open, so sorting restores it.
-        let mut spans: Vec<SpanEvent> = self.buffer.drain(..).collect();
-        spans.sort_unstable_by_key(|s| s.span_id);
-        spans
-    }
-
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    pub(crate) fn stage_histogram(&self, stage: SpanStage) -> &LatencyHistogram {
-        &self.stages[stage.index()]
     }
 }
 
@@ -550,6 +374,7 @@ pub fn chrome_trace(spans: &[SpanEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{Record, Telemetry, BUFFER_CAP};
 
     fn span(trace: u64, id: u64, parent: u64, stage: SpanStage, begin: u64, end: u64) -> SpanEvent {
         SpanEvent {
@@ -585,52 +410,59 @@ mod tests {
 
     #[test]
     fn tracer_disabled_by_default_and_ids_are_minted_in_order() {
-        let mut tracer = SpanTracer::new();
-        assert!(!tracer.is_enabled());
-        tracer.set_enabled(true);
-        assert!(tracer.is_buffering());
-        assert_eq!(tracer.mint_trace(), 1);
-        assert_eq!(tracer.mint_trace(), 2);
-        let a = tracer.open(1, 0, SpanStage::Admit, "a", 5, true);
-        let b = tracer.open(1, a, SpanStage::Route, "b", 5, true);
-        assert!(b > a);
-        assert_eq!(tracer.open_count(), 2);
-        tracer.close(b, 5, 7);
-        tracer.close(a, 5, 9);
-        assert_eq!(tracer.open_count(), 0);
-        let spans = tracer.take();
-        assert_eq!(spans.len(), 2);
+        let mut tel = Telemetry::new();
+        assert!(!tel.spans_enabled());
+        let off = tel.open_root(5, SpanCtx::NONE, SpanStage::Admit, || "a".into());
+        assert_eq!(off.ctx(), SpanCtx::NONE, "no span while tracing is off");
+        tel.set_span_tracing(true);
+        let a = tel.open_root(5, SpanCtx::NONE, SpanStage::Admit, || "a".into());
+        assert_eq!(a.ctx().trace_id, 1, "flows start at 1");
+        let b = tel.open(5, a.ctx(), SpanStage::Route, || "b".into());
+        assert!(b.ctx().parent > a.ctx().parent);
+        assert_eq!(tel.open_spans(), 2);
+        tel.close(5, b);
+        tel.close(5, a);
+        assert_eq!(tel.open_spans(), 0);
+        let next = tel.open_root(6, SpanCtx::NONE, SpanStage::Admit, String::new);
+        assert_eq!(next.ctx().trace_id, 2);
+        tel.close(6, next);
+        let spans = tel.take_spans();
+        assert_eq!(spans.len(), 3);
         // `b` closed first but `a` opened first: draining restores open
         // (span-ID) order.
-        assert_eq!(spans[0].span_id, a, "drain order is open order");
-        assert_eq!(spans[0].wall_us, 9);
-        assert_eq!(spans[1].span_id, b);
-        assert_eq!(tracer.stage_histogram(SpanStage::Admit).count(), 1);
+        assert_eq!(spans[0].label, "a", "drain order is open order");
+        assert_eq!(spans[1].label, "b");
+        assert_eq!(spans[1].parent, spans[0].span_id);
+        let snapshot = tel.snapshot(6);
+        assert_eq!(snapshot.stage(SpanStage::Admit).unwrap().latency.count, 2);
     }
 
     #[test]
     fn unmaterialized_spans_update_histograms_only() {
-        let mut tracer = SpanTracer::new();
-        tracer.set_enabled(true);
-        tracer.set_buffering(false);
-        let id = tracer.open(1, 0, SpanStage::Schedule, "x", 0, false);
-        assert!(tracer.close(id, 40, 0).is_none(), "no event materialized");
-        assert!(tracer.take().is_empty());
-        assert_eq!(tracer.stage_histogram(SpanStage::Schedule).count(), 1);
-        assert_eq!(tracer.stage_histogram(SpanStage::Schedule).max(), 40);
+        let mut tel = Telemetry::new();
+        tel.set_span_tracing(true);
+        tel.set_span_buffering(false);
+        let flow = tel.open_root(0, SpanCtx::NONE, SpanStage::Admit, String::new);
+        let flow = tel.close(0, flow);
+        tel.record(0, Record::BatchHop("x", 40, flow));
+        assert!(tel.take_spans().is_empty(), "no event materialized");
+        let schedule = tel.snapshot(0);
+        let schedule = &schedule.stage(SpanStage::Schedule).unwrap().latency;
+        assert_eq!(schedule.count, 1);
+        assert_eq!(schedule.max, 40);
     }
 
     #[test]
     fn buffer_is_bounded_with_a_drop_counter() {
-        let mut tracer = SpanTracer::new();
-        tracer.set_enabled(true);
-        for i in 0..(SPAN_BUFFER_CAP + 3) {
-            let id = tracer.open(1, 0, SpanStage::Admit, "x", i as u64, true);
-            tracer.close(id, i as u64, 0);
+        let mut tel = Telemetry::new();
+        tel.set_span_tracing(true);
+        for i in 0..(BUFFER_CAP + 3) {
+            let admit = tel.open_root(i as u64, SpanCtx::NONE, SpanStage::Admit, || "x".into());
+            tel.close(i as u64, admit);
         }
-        assert_eq!(tracer.dropped(), 3);
-        assert_eq!(tracer.take().len(), SPAN_BUFFER_CAP);
-        assert_eq!(tracer.dropped(), 0, "drain resets the window");
+        assert_eq!(tel.spans_dropped(), 3);
+        assert_eq!(tel.take_spans().len(), BUFFER_CAP);
+        assert_eq!(tel.spans_dropped(), 0, "drain resets the window");
     }
 
     #[test]

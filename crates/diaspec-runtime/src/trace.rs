@@ -6,6 +6,8 @@
 //! to debug a design or to render a timeline of a scenario run, and drain
 //! the recorded events with
 //! [`Orchestrator::take_trace`](crate::engine::Orchestrator::take_trace).
+//! Events are recorded into a bounded buffer by the engine's one
+//! telemetry path ([`crate::telemetry`]).
 
 use crate::clock::SimTime;
 use serde::{Deserialize, Serialize};
@@ -189,117 +191,47 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// A bounded trace buffer (oldest entries are dropped past the capacity).
-#[derive(Debug)]
-pub(crate) struct TraceBuffer {
-    events: std::collections::VecDeque<TraceEvent>,
-    capacity: usize,
-    enabled: bool,
-    dropped: u64,
-}
-
-impl TraceBuffer {
-    pub(crate) fn new() -> Self {
-        TraceBuffer {
-            events: std::collections::VecDeque::new(),
-            capacity: 100_000,
-            enabled: false,
-            dropped: 0,
-        }
-    }
-
-    pub(crate) fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    pub(crate) fn record(&mut self, at: SimTime, kind: TraceKind) {
-        if !self.enabled {
-            return;
-        }
-        if self.events.len() >= self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(TraceEvent { at, kind });
-    }
-
-    pub(crate) fn take(&mut self) -> Vec<TraceEvent> {
-        // Draining starts a fresh observation window: a stale drop count
-        // from a previous run would otherwise misreport later drains.
-        self.dropped = 0;
-        self.events.drain(..).collect()
-    }
-
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{Record, Telemetry, BUFFER_CAP};
 
     #[test]
     fn disabled_buffer_records_nothing() {
-        let mut buf = TraceBuffer::new();
-        buf.record(
-            1,
-            TraceKind::Emission {
-                entity: "e".into(),
-                source: "s".into(),
-            },
-        );
-        assert!(buf.take().is_empty());
-        assert!(!buf.is_enabled());
+        let mut tel = Telemetry::new();
+        tel.record(1, Record::ContextActivation("C"));
+        assert!(tel.take_trace().is_empty());
+        assert_eq!(tel.metrics().context_activations, 1, "counted regardless");
     }
 
     #[test]
     fn enabled_buffer_records_and_drains() {
-        let mut buf = TraceBuffer::new();
-        buf.set_enabled(true);
-        buf.record(
-            5,
-            TraceKind::Publication {
-                context: "C".into(),
-                value: "1".into(),
-            },
-        );
-        buf.record(
-            9,
-            TraceKind::Actuation {
-                entity: "dev".into(),
-                action: "go".into(),
-            },
-        );
-        let events = buf.take();
+        let mut tel = Telemetry::new();
+        tel.set_tracing(true);
+        tel.record(5, Record::ControllerActivation("Ctl", "C"));
+        tel.record(9, Record::Fault(&"crash dev"));
+        let events = tel.take_trace();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].at, 5);
-        assert!(buf.take().is_empty(), "drained");
-        assert_eq!(buf.dropped(), 0);
+        assert!(
+            matches!(&events[1].kind, TraceKind::FaultInjected { fault } if fault == "crash dev")
+        );
+        assert!(tel.take_trace().is_empty(), "drained");
+        assert_eq!(tel.trace_dropped(), 0);
     }
 
     #[test]
     fn buffer_is_bounded() {
-        let mut buf = TraceBuffer::new();
-        buf.set_enabled(true);
-        buf.capacity = 3;
-        for i in 0..5 {
-            buf.record(
-                i,
-                TraceKind::ContextActivation {
-                    context: format!("C{i}"),
-                },
-            );
+        let mut tel = Telemetry::new();
+        tel.set_tracing(true);
+        for i in 0..(BUFFER_CAP as u64 + 2) {
+            tel.record(i, Record::ContextActivation("C"));
         }
-        assert_eq!(buf.dropped(), 2);
-        let events = buf.take();
-        assert_eq!(events.len(), 3);
+        assert_eq!(tel.trace_dropped(), 2);
+        let events = tel.take_trace();
+        assert_eq!(events.len(), BUFFER_CAP);
         assert_eq!(events[0].at, 2, "oldest dropped");
-        assert_eq!(buf.dropped(), 0, "drain resets the drop counter");
+        assert_eq!(tel.trace_dropped(), 0, "drain resets the drop counter");
     }
 
     #[test]

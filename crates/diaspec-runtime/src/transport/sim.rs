@@ -15,7 +15,6 @@ use super::wire::{Envelope, MessageKind, TransportError};
 use super::TransportStats;
 use crate::clock::SimTime;
 use crate::fault::{FaultInjector, MessageFate};
-use crate::obs::LatencyHistogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -108,9 +107,6 @@ pub struct SimTransport {
     delivered: u64,
     dropped: u64,
     total_latency_ms: u128,
-    /// Per-hop latency distribution, kept only when observability asks
-    /// for it (see [`SimTransport::enable_latency_histogram`]).
-    histogram: Option<LatencyHistogram>,
     /// In-process peer for trait-level [`exchange`](super::Transport::exchange)
     /// calls; `None` answers every delivered envelope with a plain `Ok`.
     handler: Option<SimHandler>,
@@ -155,7 +151,6 @@ impl SimTransport {
             delivered: 0,
             dropped: 0,
             total_latency_ms: 0,
-            histogram: None,
             handler: None,
             link_stats: TransportStats::default(),
         }
@@ -167,20 +162,6 @@ impl SimTransport {
     /// (surfaced as [`TransportError::Closed`]).
     pub fn connect_handler(&mut self, handler: SimHandler) {
         self.handler = Some(handler);
-    }
-
-    /// Starts recording every delivered message's latency into a
-    /// histogram (off by default: the common path pays nothing).
-    pub fn enable_latency_histogram(&mut self) {
-        if self.histogram.is_none() {
-            self.histogram = Some(LatencyHistogram::new());
-        }
-    }
-
-    /// The per-hop latency histogram, if enabled.
-    #[must_use]
-    pub fn latency_histogram(&self) -> Option<&LatencyHistogram> {
-        self.histogram.as_ref()
     }
 
     /// The configuration in effect.
@@ -206,9 +187,6 @@ impl SimTransport {
     fn record_delivery(&mut self, latency: SimTime) {
         self.delivered += 1;
         self.total_latency_ms += u128::from(latency);
-        if let Some(histogram) = &mut self.histogram {
-            histogram.record(latency);
-        }
     }
 
     /// Samples the fate of one message: `Some(latency)` when delivered,
@@ -430,42 +408,20 @@ mod tests {
     }
 
     #[test]
-    fn latency_histogram_tracks_delivered_messages() {
-        let mut t = SimTransport::new(TransportConfig {
-            latency: LatencyModel::Uniform {
-                min_ms: 10,
-                max_ms: 50,
-            },
-            seed: 11,
-            ..TransportConfig::default()
-        });
-        assert!(t.latency_histogram().is_none(), "off by default");
-        t.enable_latency_histogram();
-        for _ in 0..200 {
-            let _ = t.send();
-        }
-        let h = t.latency_histogram().expect("enabled");
-        assert_eq!(h.count(), t.delivered());
-        assert!(h.min() >= 10 && h.max() <= 50);
-        assert!(h.quantile(0.5) >= 10);
-    }
-
-    #[test]
     fn send_through_layers_faults_over_the_transport() {
         use crate::fault::FaultPlan;
         let mut t = SimTransport::new(TransportConfig {
             latency: LatencyModel::Fixed(10),
             ..TransportConfig::default()
         });
-        t.enable_latency_histogram();
         // A guaranteed delay fault adds to the transport latency and is
-        // visible in the histogram.
+        // accounted in the latency statistics.
         let mut inj = FaultInjector::new(FaultPlan::seeded(3).delay_messages(1.0, 90));
         let out = t.send_through(&mut inj);
         assert_eq!(out.delivery, Some(100));
         assert_eq!(out.extra_delay_ms, 90);
         assert!(!out.fault_dropped);
-        assert_eq!(t.latency_histogram().unwrap().max(), 100);
+        assert_eq!(t.mean_latency_ms(), 100.0);
         // A guaranteed drop fault loses the message without consuming
         // the transport's loss sample.
         let mut inj = FaultInjector::new(FaultPlan::seeded(3).drop_messages(1.0));

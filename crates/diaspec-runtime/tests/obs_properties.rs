@@ -16,9 +16,7 @@ use diaspec_runtime::component::ContextActivation;
 use diaspec_runtime::engine::{ContextApi, ControllerApi, Orchestrator};
 use diaspec_runtime::entity::DeviceInstance;
 use diaspec_runtime::error::DeviceError;
-use diaspec_runtime::obs::{
-    render_prometheus, BufferSink, JsonlSink, LatencyHistogram, SharedSink,
-};
+use diaspec_runtime::obs::{render_prometheus, write_jsonl, LatencyHistogram};
 use diaspec_runtime::transport::{LatencyModel, TransportConfig};
 use diaspec_runtime::value::Value;
 use diaspec_runtime::Activity;
@@ -191,10 +189,11 @@ fn activities_are_attributed_with_labels_and_units() {
     assert_eq!(actuating.latency.count, 10);
     assert_eq!(actuating.labels["Sink.absorb"], 10);
 
-    // The transport kept its own per-hop histogram.
-    let transport_hist = orch.transport().latency_histogram().unwrap();
-    assert_eq!(transport_hist.count(), 20);
-    assert_eq!(transport_hist.quantile(0.5), 50);
+    // Delivering holds exactly the per-hop samples the counters sum.
+    assert_eq!(
+        delivering.latency.sum,
+        orch.metrics().total_transport_latency_ms
+    );
 
     // And the snapshot renders in the Prometheus exposition style.
     let text = render_prometheus(&snap);
@@ -221,39 +220,11 @@ fn observability_disabled_records_nothing() {
 }
 
 #[test]
-fn observers_stream_events_without_the_trace_buffer() {
+fn jsonl_export_produces_parseable_lines() {
     let mut orch = build(TransportConfig::default());
-    let buffer = SharedSink::new(BufferSink::new(1000));
-    orch.attach_observer(Box::new(buffer.clone()));
-    // Note: set_tracing stays off — observers see events regardless.
-    bind_and_launch(&mut orch);
-    let sensor = "s-1".into();
-    orch.emit_at(100, &sensor, "v", Value::Int(7), None)
-        .unwrap();
-    orch.run_until(1_000);
-
-    let events = buffer.with(BufferSink::take);
-    // emit, context activation, publication, controller, actuation.
-    assert_eq!(events.len(), 5, "{events:#?}");
-    assert!(orch.take_trace().is_empty(), "buffer stayed off");
-
-    // Published snapshots reach the sink too.
+    orch.set_tracing(true);
     orch.set_observability(true);
-    orch.emit_at(2_000, &sensor, "v", Value::Int(8), None)
-        .unwrap();
-    orch.run_until(3_000);
-    let snap = orch.publish_observation();
-    let seen = buffer.with(BufferSink::take_snapshots);
-    assert_eq!(seen.len(), 1);
-    assert_eq!(seen[0], snap);
-}
-
-#[test]
-fn jsonl_sink_produces_parseable_lines() {
-    let mut orch = build(TransportConfig::default());
-    let sink = SharedSink::new(JsonlSink::new(Vec::new()));
-    orch.attach_observer(Box::new(sink.clone()));
-    orch.set_observability(true);
+    orch.set_span_tracing(true);
     bind_and_launch(&mut orch);
     let sensor = "s-1".into();
     for t in 0..3 {
@@ -261,25 +232,25 @@ fn jsonl_sink_produces_parseable_lines() {
             .unwrap();
     }
     orch.run_until(1_000);
-    orch.publish_observation();
 
-    let text = sink.with(|s| String::from_utf8(s.writer().clone()).unwrap());
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 16, "3 chains x 5 events + 1 snapshot");
-    let mut traces = 0;
-    let mut snapshots = 0;
-    for line in &lines {
+    let mut out = Vec::new();
+    let (trace, spans) = (orch.take_trace(), orch.take_spans());
+    let written = write_jsonl(&mut out, &trace, &spans, &orch.observation()).unwrap();
+    let text = String::from_utf8(out).unwrap();
+    let mut counts = std::collections::BTreeMap::new();
+    for line in text.lines() {
         let v: serde_json::Value = serde_json::from_str(line).unwrap();
-        if !v["trace"].is_null() {
-            traces += 1;
-        } else if !v["snapshot"].is_null() {
-            snapshots += 1;
-        } else {
-            panic!("unexpected line: {line}");
-        }
+        let key = ["trace", "span", "snapshot"]
+            .into_iter()
+            .find(|k| !v[*k].is_null())
+            .unwrap_or_else(|| panic!("unexpected line: {line}"));
+        *counts.entry(key).or_insert(0u64) += 1;
     }
-    assert_eq!(traces, 15);
-    assert_eq!(snapshots, 1);
+    assert_eq!(counts["trace"], 15, "3 chains x 5 events");
+    assert_eq!(counts["span"], spans.len() as u64);
+    assert!(!spans.is_empty());
+    assert_eq!(counts["snapshot"], 1);
+    assert_eq!(written, 16 + spans.len() as u64);
 }
 
 #[test]

@@ -486,35 +486,16 @@ fn run_coordinator(
     print_summary(&mut orch, &messenger, options);
     let mut snapshot = orch.observation();
     for (name, link) in &links {
-        let stats = link.stats();
-        eprintln!(
-            "link {name}: {} frames / {} bytes out, {} frames / {} bytes in, {} reconnect(s)",
-            stats.frames_sent,
-            stats.bytes_sent,
-            stats.frames_received,
-            stats.bytes_received,
-            stats.reconnects
-        );
-        snapshot
-            .transports
-            .push(TransportSample::from_stats(name, link.backend(), &stats));
-        if let Some(session) = link.session_stats() {
-            eprintln!(
-                "link {name}: diaspec_session_replays {} diaspec_session_resends {} \
-                 diaspec_session_abandoned {} diaspec_session_probes {} \
-                 diaspec_session_breaker_trips {}",
-                session.replays,
-                session.resends,
-                session.abandoned,
-                session.probes,
-                session.breaker_trips
-            );
-        }
+        let sample = TransportSample::from_stats(name, link.backend(), &link.stats());
+        snapshot.transports.push(match link.session_stats() {
+            Some(session) => sample.with_session(&session),
+            None => sample,
+        });
         link.close();
     }
     for line in render_prometheus(&snapshot)
         .lines()
-        .filter(|l| l.contains("diaspec_transport_"))
+        .filter(|l| l.starts_with("diaspec_transport_") || l.starts_with("diaspec_session_"))
     {
         eprintln!("{line}");
     }

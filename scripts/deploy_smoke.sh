@@ -78,10 +78,10 @@ wait "$EDGE0" "$EDGE1"
 
 echo "--- in-process vs partitioned-TCP summary diff:"
 diff -u "$OUT/inprocess.out" "$OUT/partition.out"
-grep -q "diaspec_session_replays [1-9]" "$OUT/partition.err" \
+grep -qE '^diaspec_session_replays_total\{[^}]*\} [1-9]' "$OUT/partition.err" \
   || { echo "partition run replayed nothing — windows never cut the link?" >&2; \
        cat "$OUT/partition.err" >&2; exit 1; }
-echo "identical ($(grep -o 'diaspec_session_replays [0-9]*' "$OUT/partition.err" | head -1 | cut -d' ' -f2) tick(s) replayed)"
+echo "identical ($(grep -E '^diaspec_session_replays_total\{' "$OUT/partition.err" | head -1 | cut -d' ' -f2) tick(s) replayed)"
 
 # 4. Kill scenario: edge1 dies at 1,150,000 ms sim time; the coordinator
 # runs leases + coordinator-local standbys and must log the recovery.

@@ -6,6 +6,11 @@
 #    shows up as new `.clone()` calls in engine/deliver/, so the total is
 #    budgeted in scripts/clone_budget.txt. Raising the budget is allowed
 #    but must be a reviewed, committed change.
+# 3. Telemetry has one record path: outside the telemetry module
+#    (src/telemetry.rs), no production code in diaspec-runtime writes a
+#    RuntimeMetrics counter, builds a TraceEvent, calls the removed
+#    record_trace/trace_active helpers or records an activity-histogram
+#    sample — each site makes one `Telemetry::record` call instead.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,3 +37,24 @@ if [ "$clones" -gt "$budget" ]; then
     exit 1
 fi
 echo "ok: engine/deliver/ has $clones .clone() calls (budget $budget)"
+
+RUNTIME=crates/diaspec-runtime/src
+fields=$(sed -n '/pub struct RuntimeMetrics/,/^}/p' "$RUNTIME/metrics.rs" \
+    | grep -o 'pub [a-z_]*:' | sed 's/pub //; s/://' | paste -sd'|')
+violations=$(find "$RUNTIME" -name '*.rs' ! -path "$RUNTIME/telemetry.rs" | sort | while read -r file; do
+    # Production code only: test modules sit after `#[cfg(test)]`.
+    code=$(sed '/#\[cfg(test)\]/,$d' "$file")
+    grep -nE "metrics\.($fields)\s*[-+*/|&]?=[^=]" <<< "$code" | sed "s|^|$file:counter write: |" || true
+    grep -nE 'TraceEvent\s*\{' <<< "$code" | grep -vE '\b(struct|impl)\b' \
+        | sed "s|^|$file:trace event built: |" || true
+    grep -nE 'record_trace\(|trace_active\(' <<< "$code" | sed "s|^|$file:trace helper: |" || true
+    tr -s '[:space:]' ' ' <<< "$code" | grep -oE '\.(record|observe) ?\( ?Activity::' \
+        | sed "s|^|$file:activity sample: |" || true
+done)
+if [ -n "$violations" ]; then
+    echo "FAIL: telemetry recorded outside src/telemetry.rs:" >&2
+    echo "$violations" >&2
+    echo "Describe the event as a telemetry::Record and make one Telemetry::record call." >&2
+    exit 1
+fi
+echo "ok: diaspec-runtime records telemetry only through src/telemetry.rs"
