@@ -15,9 +15,10 @@
 //! `BENCH_delivery.json` against the schema guard and exits.
 
 use diaspec_bench::{
-    chaossoak, churn, continuum, delivery, discovery, fanout, loadgen, processing, share,
-    taskfaults,
+    chaossoak, churn, compiler, continuum, delivery, discovery, fanout, loadgen, median,
+    processing, share, taskfaults,
 };
+use diaspec_runtime::ProcessingMode;
 
 /// The E1–E22 index from `DESIGN.md`: id, one-line summary, and whether
 /// this binary runs it (the rest are covered by tests, examples, or the
@@ -35,7 +36,7 @@ const EXPERIMENTS: &[(&str, &str, bool)] = &[
     ("e10", "serial vs parallel MapReduce speedup: crossover where parallelism pays", true),
     ("e11", "message volume + latency per delivery model (periodic/event/query)", true),
     ("e12", "discovery latency vs registry size and attribute selectivity", true),
-    ("e13", "compiler throughput vs spec size (bench: compiler)", false),
+    ("e13", "design-compiler wall time per phase: lex, parse, check, analyze, generate", true),
     ("e14", "@error/@qos annotations drive declared recovery (tests/failure_injection.rs)", false),
     ("e15", "requirements matched against infrastructure descriptions (examples/capacity_planning.rs)", false),
     ("e16", "recovery cost under seeded device churn: leases, rebinds, retries", true),
@@ -105,6 +106,9 @@ fn main() {
     if run("e12") {
         e12_discovery(quick, json);
     }
+    if run("e13") {
+        e13_compiler(quick, json);
+    }
     if run("e16") {
         e16_churn(quick, json);
     }
@@ -171,9 +175,15 @@ fn e1_continuum(quick: bool, json: bool) {
         "sensors", "build (ms)", "period (ms)", "readings", "publish", "actuate", "readings/s"
     );
     let rows = continuum::sweep(scales);
-    for row in &rows {
+    let largest = scales[scales.len() - 1];
+    let parallel = continuum::run_scale(largest, ProcessingMode::Parallel(4));
+    for (row, mode) in rows
+        .iter()
+        .map(|row| (row, ""))
+        .chain([(&parallel, "  parallel-4")])
+    {
         println!(
-            "{:>9} {:>11.1} {:>13.1} {:>10} {:>8} {:>9} {:>14.0}",
+            "{:>9} {:>11.1} {:>13.1} {:>10} {:>8} {:>9} {:>14.0}{mode}",
             row.sensors,
             row.build_ms,
             row.period_wall_ms,
@@ -185,8 +195,13 @@ fn e1_continuum(quick: bool, json: bool) {
     }
     if json {
         println!("{}", serde_json::to_string(&rows).expect("serializable"));
+        println!(
+            "{}",
+            serde_json::to_string(&parallel).expect("serializable")
+        );
     }
     e1_latency_breakdown(quick, json);
+    e1_telemetry_cost(quick, json);
 }
 
 /// The observed E1 run: per-activity latency percentiles plus a JSONL
@@ -198,8 +213,13 @@ fn e1_latency_breakdown(quick: bool, json: bool) {
     if let Some(parent) = trace_path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
-    let observed = match continuum::observed_run(sensors_per_lot, trace_path) {
-        Ok(observed) => observed,
+    // Five observed runs for the off-vs-on row below; the last one feeds
+    // the breakdown table and the trace file.
+    let runs: Vec<continuum::ObservedRun> = match (0..5)
+        .map(|_| continuum::observed_run(sensors_per_lot, trace_path))
+        .collect()
+    {
+        Ok(runs) => runs,
         Err(e) => {
             eprintln!(
                 "E1 latency breakdown skipped: cannot write {}: {e}",
@@ -208,6 +228,7 @@ fn e1_latency_breakdown(quick: bool, json: bool) {
             return;
         }
     };
+    let observed = &runs[runs.len() - 1];
     println!(
         "\nPer-activity latency breakdown ({} sensors, uniform 20-200 ms transport):\n",
         observed.row.sensors
@@ -240,11 +261,38 @@ fn e1_latency_breakdown(quick: bool, json: bool) {
         trace_path.display(),
         observed.trace_lines
     );
+    let off_ms = median(
+        (0..5)
+            .map(|_| continuum::run_scale(sensors_per_lot, ProcessingMode::Serial).period_wall_ms)
+            .collect(),
+    );
+    let on_ms = median(runs.iter().map(|r| r.row.period_wall_ms).collect());
+    println!(
+        "\nTelemetry off vs on, {} sensors (median period wall time of 5 runs):\n  \
+         off {off_ms:.2} ms (run_scale), on {on_ms:.2} ms (observed_run: tracing + \
+         observability, 20-200 ms transport), on/off {:.2}x",
+        observed.row.sensors,
+        on_ms / off_ms.max(1e-9)
+    );
     if json {
         println!(
             "{}",
             serde_json::to_string(&observed.snapshot).expect("serializable")
         );
+    }
+}
+
+/// Per-call cost of each telemetry path (median of five timed loops).
+fn e1_telemetry_cost(quick: bool, json: bool) {
+    let iters = if quick { 100_000 } else { 1_000_000 };
+    println!("\nTelemetry per-call cost (median ns of 5 loops x {iters} calls):\n");
+    println!("{:>20} {:>8}", "path", "ns");
+    let costs = continuum::telemetry_costs(iters);
+    for cost in &costs {
+        println!("{:>20} {:>8.1}", cost.path, cost.ns);
+    }
+    if json {
+        println!("{}", serde_json::to_string(&costs).expect("serializable"));
     }
 }
 
@@ -302,8 +350,23 @@ fn e10_processing(quick: bool, json: bool) {
         all.extend(rows);
         println!();
     }
+    let ablation = processing::combiner_ablation(200_000);
+    println!("Combiner ablation (sum per lot, 4 workers, 200 000 readings, 8 lots):\n");
+    println!("{:>9} {:>11} {:>9}", "combiner", "wall (ms)", "shuffled");
+    for row in &ablation {
+        println!(
+            "{:>9} {:>11.2} {:>9}",
+            if row.combiner { "with" } else { "without" },
+            row.wall_ms,
+            row.shuffled
+        );
+    }
     if json {
         println!("{}", serde_json::to_string(&all).expect("serializable"));
+        println!(
+            "{}",
+            serde_json::to_string(&ablation[..]).expect("serializable")
+        );
     }
 }
 
@@ -334,6 +397,34 @@ fn e11_delivery(quick: bool, json: bool) {
     }
     if json {
         println!("{}", serde_json::to_string(&all).expect("serializable"));
+    }
+}
+
+fn e13_compiler(quick: bool, json: bool) {
+    heading("E13 — design-compiler wall time per phase (paper §V), median µs per call");
+    let iters = if quick { 20 } else { 200 };
+    println!(
+        "{:<13} {:>5} {:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "design", "LoC", "comps", "lex", "parse", "check", "analyze", "gen rust", "gen java"
+    );
+    let rows = compiler::table(iters);
+    for row in &rows {
+        println!(
+            "{:<13} {:>5} {:>6} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1}",
+            row.design,
+            row.loc,
+            row.components,
+            row.lex_us,
+            row.parse_us,
+            row.check_us,
+            row.analyze_us,
+            row.rust_us,
+            row.java_us
+        );
+    }
+    println!("\n(parse includes lexing; each phase runs on the previous phase's output)");
+    if json {
+        println!("{}", serde_json::to_string(&rows).expect("serializable"));
     }
 }
 
@@ -612,15 +703,27 @@ fn e12_discovery(quick: bool, json: bool) {
     heading("E12 — attribute-filtered discovery latency vs registry size");
     let iters = if quick { 20 } else { 200 };
     println!(
-        "{:>9} {:>7} {:>9} {:>12}",
-        "entities", "zones", "matched", "mean (us)"
+        "{:>9} {:>7} {:>9} {:>14} {:>16} {:>12} {:>10}",
+        "entities",
+        "zones",
+        "matched",
+        "filtered (us)",
+        "unfiltered (us)",
+        "count (us)",
+        "bind (ms)"
     );
     let mut rows = Vec::new();
     for entities in [100usize, 1_000, 10_000, if quick { 10_000 } else { 50_000 }] {
         let row = discovery::run(entities, 10, iters);
         println!(
-            "{:>9} {:>7} {:>9} {:>12.1}",
-            row.entities, row.zones, row.matched, row.mean_us
+            "{:>9} {:>7} {:>9} {:>14.1} {:>16.1} {:>12.1} {:>10.1}",
+            row.entities,
+            row.zones,
+            row.matched,
+            row.mean_us,
+            row.unfiltered_us,
+            row.count_us,
+            row.bind_ms
         );
         rows.push(row);
     }

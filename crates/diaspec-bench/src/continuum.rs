@@ -6,10 +6,13 @@
 //! continuum — so the measured series shows cost growing smoothly with
 //! scale while the application code stays byte-identical.
 
+use crate::median_ns;
 use diaspec_apps::parking::{build, ParkingAppConfig};
 use diaspec_runtime::obs::write_jsonl;
-use diaspec_runtime::{ObsSnapshot, ProcessingMode};
+use diaspec_runtime::telemetry::{Record, Telemetry};
+use diaspec_runtime::{LatencyHistogram, ObsSnapshot, ProcessingMode, SpanCtx, SpanStage};
 use serde::Serialize;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// One row of the continuum experiment.
@@ -155,6 +158,73 @@ pub fn observed_run(
     })
 }
 
+/// Median nanoseconds per call of one telemetry path.
+#[derive(Debug, Clone, Serialize)]
+pub struct TelemetryCost {
+    /// The path timed.
+    pub path: &'static str,
+    /// Median nanoseconds per call over five timed loops.
+    pub ns: f64,
+}
+
+/// Per-call cost of the telemetry paths an E1 run takes: a record call
+/// with observability off (the tier-1 configuration) and on, one
+/// histogram sample, and the three span-site states — disabled (one
+/// branch), cheap (IDs and stage histograms, no span records; the load
+/// harness's mode) and materialized (buffered spans, what Perfetto
+/// export drains). `iters` calls per timed loop.
+#[must_use]
+pub fn telemetry_costs(iters: u32) -> Vec<TelemetryCost> {
+    let delivered = || Record::Delivered(black_box("Ctx"), black_box(42), SpanCtx::NONE);
+    let mut disabled = Telemetry::new();
+    let mut enabled = Telemetry::new();
+    enabled.set_observability(true);
+    let mut hist = LatencyHistogram::new();
+    let mut v = 0u64;
+    let mut cheap = Telemetry::new();
+    cheap.set_span_tracing(true);
+    cheap.set_span_buffering(false);
+    let mut full = Telemetry::new();
+    full.set_span_tracing(true);
+    let span = |tel: &mut Telemetry, label: fn() -> String| {
+        let open = tel.open_root(0, SpanCtx::NONE, black_box(SpanStage::Dispatch), label);
+        tel.close(0, open)
+    };
+    vec![
+        TelemetryCost {
+            path: "disabled record",
+            ns: median_ns(5, iters, || disabled.record(0, delivered())),
+        },
+        TelemetryCost {
+            path: "enabled record",
+            ns: median_ns(5, iters, || enabled.record(0, delivered())),
+        },
+        TelemetryCost {
+            path: "histogram record",
+            ns: median_ns(5, iters, || {
+                v = v.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                hist.record(black_box(v >> 40));
+            }),
+        },
+        TelemetryCost {
+            path: "disabled span gate",
+            ns: median_ns(5, iters, || {
+                black_box(&disabled).spans_enabled() || black_box(SpanCtx::NONE).is_active()
+            }),
+        },
+        TelemetryCost {
+            path: "cheap span",
+            ns: median_ns(5, iters, || {
+                span(&mut cheap, || unreachable!("cheap spans build no label"))
+            }),
+        },
+        TelemetryCost {
+            path: "materialized span",
+            ns: median_ns(5, iters, || span(&mut full, || "SpotAvail".to_owned())),
+        },
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,5 +267,14 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("trace file exists");
         assert_eq!(text.lines().count() as u64, observed.trace_lines);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn telemetry_costs_time_every_path() {
+        let costs = telemetry_costs(1_000);
+        assert_eq!(costs.len(), 6);
+        assert!(costs.iter().all(|c| c.ns.is_finite() && c.ns >= 0.0));
+        let materialized = costs.last().unwrap();
+        assert!(materialized.ns > 0.0, "{costs:?}");
     }
 }

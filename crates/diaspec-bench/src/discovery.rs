@@ -2,8 +2,10 @@
 //!
 //! Measures attribute-filtered discovery latency as the registry grows
 //! and as the filter selectivity varies — the operation behind every
-//! generated `whereLocation(...)` facade call.
+//! generated `whereLocation(...)` facade call — next to unfiltered and
+//! count-only discovery and the cost of binding the whole registry.
 
+use crate::median_ns;
 use diaspec_core::compile_str;
 use diaspec_runtime::entity::{AttributeMap, BindingTime};
 use diaspec_runtime::registry::Registry;
@@ -56,34 +58,36 @@ pub struct DiscoveryRow {
     pub zones: usize,
     /// Entities matched by the zone filter.
     pub matched: usize,
-    /// Mean microseconds per filtered discovery.
+    /// Mean microseconds per filtered discovery (ids of the matches).
     pub mean_us: f64,
+    /// Mean microseconds per unfiltered discovery (ids of every panel).
+    pub unfiltered_us: f64,
+    /// Mean microseconds per filtered discovery that only counts.
+    pub count_us: f64,
+    /// Milliseconds to bind every entity into a fresh registry.
+    pub bind_ms: f64,
 }
 
-/// Measures `iters` filtered discoveries against one configuration.
+/// Measures `iters` discoveries of each kind (after as many warm-up
+/// calls) against one configuration.
 #[must_use]
-pub fn run(entities: usize, zones: usize, iters: usize) -> DiscoveryRow {
+pub fn run(entities: usize, zones: usize, iters: u32) -> DiscoveryRow {
+    let bind_start = Instant::now();
     let registry = build_registry(entities, zones);
+    let bind_ms = bind_start.elapsed().as_secs_f64() * 1e3;
     let zone = Value::from("zone-0");
-    // Warm-up + correctness check.
-    let matched = registry
-        .discover("Panel")
-        .with_attribute("zone", &zone)
-        .count();
-    let start = Instant::now();
-    for _ in 0..iters {
-        let ids = registry
-            .discover("Panel")
-            .with_attribute("zone", &zone)
-            .ids();
-        assert_eq!(ids.len(), matched);
-    }
-    let mean_us = start.elapsed().as_secs_f64() * 1e6 / iters as f64;
+    let filtered = || registry.discover("Panel").with_attribute("zone", &zone);
+    // Correctness check: ids and count agree.
+    let matched = filtered().count();
+    assert_eq!(filtered().ids().len(), matched);
     DiscoveryRow {
         entities,
         zones,
         matched,
-        mean_us,
+        mean_us: median_ns(1, iters, || filtered().ids()) / 1e3,
+        unfiltered_us: median_ns(1, iters, || registry.discover("Panel").ids()) / 1e3,
+        count_us: median_ns(1, iters, || filtered().count()) / 1e3,
+        bind_ms,
     }
 }
 
@@ -113,6 +117,8 @@ mod tests {
     fn rows_report_plausible_latency() {
         let row = run(500, 5, 10);
         assert_eq!(row.matched, 100);
-        assert!(row.mean_us > 0.0);
+        for latency in [row.mean_us, row.unfiltered_us, row.count_us, row.bind_ms] {
+            assert!(latency > 0.0, "{row:?}");
+        }
     }
 }

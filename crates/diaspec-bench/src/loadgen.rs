@@ -197,6 +197,7 @@ pub fn run_rate(offered: u64, config: &LoadConfig) -> RateReport {
     // Cheap-mode tracing: stage histograms accumulate, no span records
     // materialize (buffering stays off).
     orch.set_span_tracing(true);
+    orch.set_span_buffering(false);
     orch.launch().unwrap();
 
     let total =
@@ -252,6 +253,8 @@ pub fn run_rate(offered: u64, config: &LoadConfig) -> RateReport {
     let errors = orch.drain_errors();
     assert!(errors.is_empty(), "load run must be clean: {errors:?}");
     assert_eq!(orch.open_spans(), 0, "quiescent engine leaks open spans");
+    assert!(orch.take_spans().is_empty(), "cheap mode buffers no spans");
+    assert_eq!(orch.spans_dropped(), 0, "cheap mode drops no spans");
 
     let elapsed_secs = (last_done_ns.max(1)) as f64 / 1e9;
     let snapshot = orch.observation();

@@ -6,7 +6,10 @@
 //! motivation is *expensive* processing of masses of readings — a free
 //! counting loop would be memory-bound and hide the parallelism).
 
-use diaspec_mapreduce::{ExecutionStats, Job, MapCollector, MapReduce, ReduceCollector};
+use crate::median_ns;
+use diaspec_mapreduce::{
+    ExecutionStats, FnCombiner, Job, MapCollector, MapReduce, ReduceCollector,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -54,6 +57,59 @@ impl MapReduce<u32, bool, u32, u64, u32, i64> for CostedAvailability {
         let _fold = values.iter().fold(0u64, |a, b| a ^ b);
         out.emit_reduce(*lot, values.len() as i64);
     }
+}
+
+/// A sum-per-lot job whose reduction is associative, so a combiner is
+/// semantics-preserving: `sum(parts) == sum(sum(part) for part)`.
+pub struct SumPerLot;
+
+impl MapReduce<u32, bool, u32, u64, u32, u64> for SumPerLot {
+    fn map(&self, lot: &u32, presence: &bool, out: &mut MapCollector<u32, u64>) {
+        out.emit_map(*lot, u64::from(!presence));
+    }
+
+    fn reduce(&self, lot: &u32, values: &[u64], out: &mut ReduceCollector<u32, u64>) {
+        out.emit_reduce(*lot, values.iter().sum());
+    }
+}
+
+/// One row of the combiner ablation.
+#[derive(Debug, Clone, Serialize)]
+pub struct CombinerRow {
+    /// Input readings.
+    pub readings: usize,
+    /// Whether map output is pre-summed per task before the shuffle.
+    pub combiner: bool,
+    /// Records that crossed the shuffle.
+    pub shuffled: u64,
+    /// Median wall-clock milliseconds over three runs.
+    pub wall_ms: f64,
+}
+
+/// The combiner ablation: [`SumPerLot`] with 4 workers over cheap
+/// records and 8 lots (the combiner's best case, where shuffle volume
+/// dominates), without and with a summing combiner.
+#[must_use]
+pub fn combiner_ablation(readings: usize) -> [CombinerRow; 2] {
+    let data = presence_dataset(readings, 8, 7);
+    let row = |combiner: bool| {
+        let run = || {
+            if combiner {
+                Job::parallel(4)
+                    .combiner(FnCombiner(|_: &u32, vs: Vec<u64>| vec![vs.iter().sum()]))
+                    .run(&SumPerLot, data.clone())
+            } else {
+                Job::parallel(4).run(&SumPerLot, data.clone())
+            }
+        };
+        CombinerRow {
+            readings,
+            combiner,
+            shuffled: run().stats.map_output_records,
+            wall_ms: median_ns(3, 1, run) / 1e6,
+        }
+    };
+    [row(false), row(true)]
 }
 
 /// One row of the processing experiment.

@@ -93,17 +93,6 @@ pub struct FaultPlan {
     pub delay_probability: f64,
     /// Extra delay applied to delayed messages.
     pub delay_ms: SimTime,
-    /// Probability in `[0, 1]` that a message is held back and arrives
-    /// after the next one (out-of-order delivery). Consumed only by the
-    /// chaos transport middleware
-    /// ([`ChaosTransport`](crate::transport::ChaosTransport)); the
-    /// engine-side [`FaultInjector`] never samples it, so enabling it
-    /// leaves in-process fault streams untouched.
-    pub reorder_probability: f64,
-    /// Probability in `[0, 1]` that a message's encoded frame has one
-    /// byte flipped in flight. Chaos-transport only, like
-    /// [`FaultPlan::reorder_probability`].
-    pub corrupt_probability: f64,
     /// Clock-driven faults, fired by the engine at their exact times.
     pub scheduled: Vec<ScheduledFault>,
     /// Task-level faults injected into the MapReduce processing activity
@@ -122,8 +111,6 @@ impl Default for FaultPlan {
             duplicate_probability: 0.0,
             delay_probability: 0.0,
             delay_ms: 0,
-            reorder_probability: 0.0,
-            corrupt_probability: 0.0,
             scheduled: Vec::new(),
             tasks: None,
         }
@@ -159,21 +146,6 @@ impl FaultPlan {
     pub fn delay_messages(mut self, probability: f64, delay_ms: SimTime) -> Self {
         self.delay_probability = probability;
         self.delay_ms = delay_ms;
-        self
-    }
-
-    /// Sets the per-message reorder probability (chaos transport only).
-    #[must_use]
-    pub fn reorder_messages(mut self, probability: f64) -> Self {
-        self.reorder_probability = probability;
-        self
-    }
-
-    /// Sets the per-message frame-corruption probability (chaos
-    /// transport only).
-    #[must_use]
-    pub fn corrupt_frames(mut self, probability: f64) -> Self {
-        self.corrupt_probability = probability;
         self
     }
 
@@ -261,8 +233,6 @@ impl FaultInjector {
             ("drop", plan.drop_probability),
             ("duplicate", plan.duplicate_probability),
             ("delay", plan.delay_probability),
-            ("reorder", plan.reorder_probability),
-            ("corrupt", plan.corrupt_probability),
         ] {
             assert!(
                 (0.0..=1.0).contains(&p),

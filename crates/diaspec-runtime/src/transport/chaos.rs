@@ -59,7 +59,6 @@
 use super::wire::{Envelope, TransportError};
 use super::TransportStats;
 use crate::clock::SimTime;
-use crate::fault::{FaultKind, FaultPlan};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -130,41 +129,6 @@ impl Default for ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Derives a chaos scenario from an existing [`FaultPlan`]: the
-    /// plan's seed and message-fault probabilities carry over directly,
-    /// and each scheduled `PartitionStart`/`PartitionEnd` pair becomes a
-    /// bidirectional partition window.
-    #[must_use]
-    pub fn from_plan(plan: &FaultPlan) -> Self {
-        let mut windows = Vec::new();
-        let mut open: Option<SimTime> = None;
-        for fault in &plan.scheduled {
-            match fault.kind {
-                FaultKind::PartitionStart => open = Some(fault.at_ms),
-                FaultKind::PartitionEnd => {
-                    if let Some(from_ms) = open.take() {
-                        windows.push(PartitionWindow {
-                            from_ms,
-                            until_ms: fault.at_ms,
-                            direction: Direction::Both,
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-        ChaosConfig {
-            seed: plan.seed,
-            drop_probability: plan.drop_probability,
-            duplicate_probability: plan.duplicate_probability,
-            delay_probability: plan.delay_probability,
-            delay_ms: plan.delay_ms,
-            reorder_probability: plan.reorder_probability,
-            corrupt_probability: plan.corrupt_probability,
-            windows,
-        }
-    }
-
     /// Adds a directional partition window over `[from_ms, until_ms)`.
     ///
     /// # Panics
@@ -741,39 +705,6 @@ mod tests {
             .expect("retransmit crosses");
         assert_eq!(*arrivals.lock().unwrap(), vec![2, 1]);
         assert_eq!(chaos.stats_handle().get().partition_drops, 1);
-    }
-
-    #[test]
-    fn from_plan_carries_probabilities_and_windows() {
-        let plan = FaultPlan::seeded(99)
-            .drop_messages(0.1)
-            .duplicate_messages(0.05)
-            .delay_messages(0.2, 750)
-            .reorder_messages(0.07)
-            .corrupt_frames(0.01)
-            .partition(10_000, 20_000)
-            .partition(30_000, 40_000);
-        let config = ChaosConfig::from_plan(&plan);
-        assert_eq!(config.seed, 99);
-        assert_eq!(config.drop_probability, 0.1);
-        assert_eq!(config.reorder_probability, 0.07);
-        assert_eq!(config.corrupt_probability, 0.01);
-        assert_eq!(config.delay_ms, 750);
-        assert_eq!(
-            config.windows,
-            vec![
-                PartitionWindow {
-                    from_ms: 10_000,
-                    until_ms: 20_000,
-                    direction: Direction::Both
-                },
-                PartitionWindow {
-                    from_ms: 30_000,
-                    until_ms: 40_000,
-                    direction: Direction::Both
-                },
-            ]
-        );
     }
 
     #[test]
