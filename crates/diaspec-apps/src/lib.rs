@@ -39,7 +39,8 @@ pub fn loc_inventory() -> [(&'static str, String, &'static str); 4] {
         ),
         (
             "parking",
-            strip_tests(include_str!("parking/mod.rs")),
+            strip_tests(include_str!("parking/mod.rs"))
+                + &strip_tests(include_str!("parking/deploy.rs")),
             include_str!("parking/generated.rs"),
         ),
         (

@@ -22,16 +22,16 @@
 #[rustfmt::skip]
 pub mod generated;
 
+pub mod deploy;
+
 use self::generated::*;
 use diaspec_devices::common::{ActuationLog, RecordingActuator};
-use diaspec_devices::parking::{ParkingCityModel, ParkingConfig, PresenceSensorDriver, UsageCurve};
-use diaspec_runtime::entity::AttributeMap;
+use diaspec_devices::parking::{ParkingConfig, UsageCurve};
 use diaspec_runtime::error::{ComponentError, RuntimeError};
 use diaspec_runtime::transport::TransportConfig;
-use diaspec_runtime::value::{Value, ValueCodec};
+use diaspec_runtime::value::ValueCodec;
 use diaspec_runtime::{Orchestrator, ProcessingMode};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// The DiaSpec design this application implements (Figure 8).
 pub const SPEC: &str = include_str!("../../../../specs/parking.spec");
@@ -331,9 +331,9 @@ impl ParkingApp {
 
 /// Registers every context and controller of the design on `orch` — the
 /// application's compute and control layers, independent of where the
-/// devices live. [`build`] uses it for the single-process application;
-/// the distributed parking demo uses it for the coordinator unit, which
-/// runs the same components against remote device proxies.
+/// devices live. [`deploy::orchestrator`] calls it for every deployment:
+/// [`build`]'s single process and the coordinator of a distributed one,
+/// which runs the same components against remote device proxies.
 ///
 /// # Errors
 ///
@@ -380,88 +380,30 @@ pub fn register_components(
 }
 
 /// Builds and launches the parking-management application over a
-/// simulated city.
+/// simulated city, every device in process.
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError`] on wiring failure (design/framework
 /// mismatch).
 pub fn build(config: ParkingAppConfig) -> Result<ParkingApp, RuntimeError> {
-    let spec =
-        Arc::new(diaspec_core::compile_str(SPEC).expect("bundled parking.spec must compile"));
-    let mut orch = Orchestrator::with_transport(spec, config.transport);
-    orch.set_processing_mode(config.processing);
-    register_components(&mut orch, &config)?;
-
-    // Simulated city: one lot per ParkingLotEnum variant.
-    let lot_names: Vec<&'static str> = ParkingLotEnum::ALL.iter().map(|l| l.name()).collect();
-    let environment = ParkingConfig {
-        spaces_per_lot: config.sensors_per_lot,
-        ..config.environment
-    };
-    let city = ParkingCityModel::new(lot_names.clone(), environment, config.curve.clone());
-    let (lots, process) = city.into_process();
-
-    orch.begin_deployment();
-    // One presence sensor per space (paper: "each parking space is
-    // equipped with a PresenceSensor device").
-    for lot_name in &lot_names {
-        let lot_cell = lots[*lot_name].clone();
-        let lot_value = Value::enum_value("ParkingLotEnum", *lot_name);
-        for space in 0..config.sensors_per_lot {
-            let mut attrs = AttributeMap::new();
-            attrs.insert("parkingLot".to_owned(), lot_value.clone());
-            orch.bind_entity(
-                format!("presence-{lot_name}-{space}").into(),
-                "PresenceSensor",
-                attrs,
-                Box::new(PresenceSensorDriver::new(lot_cell.clone(), space)),
-            )?;
-        }
-    }
-    // One entrance panel per lot.
+    let mut orch = deploy::orchestrator(&config)?;
+    let city = deploy::city_model(&config);
     let mut entrance_panels = BTreeMap::new();
-    for lot_name in &lot_names {
-        let log = ActuationLog::new();
-        let mut attrs = AttributeMap::new();
-        attrs.insert(
-            "location".to_owned(),
-            Value::enum_value("ParkingLotEnum", *lot_name),
-        );
-        orch.bind_entity(
-            format!("panel-{lot_name}").into(),
-            "ParkingEntrancePanel",
-            attrs,
-            Box::new(RecordingActuator::new(log.clone())),
-        )?;
-        entrance_panels.insert((*lot_name).to_owned(), log);
-    }
-    // One panel per city entrance.
-    let mut city_panels = BTreeMap::new();
-    for entrance in CityEntranceEnum::ALL {
-        let log = ActuationLog::new();
-        let mut attrs = AttributeMap::new();
-        attrs.insert(
-            "location".to_owned(),
-            Value::enum_value("CityEntranceEnum", entrance.name()),
-        );
-        orch.bind_entity(
-            format!("city-panel-{}", entrance.name()).into(),
-            "CityEntrancePanel",
-            attrs,
-            Box::new(RecordingActuator::new(log.clone())),
-        )?;
-        city_panels.insert(entrance.name().to_owned(), log);
-    }
-    // The management messenger.
-    let messenger = ActuationLog::new();
-    orch.bind_entity(
-        "messenger-mgmt".into(),
-        "Messenger",
-        AttributeMap::new(),
-        Box::new(RecordingActuator::new(messenger.clone())),
+    let devices = deploy::bind_city(
+        &mut orch,
+        &deploy::lot_names(),
+        config.sensors_per_lot,
+        |device| match device.space {
+            Some(_) => deploy::local_driver(&city, device),
+            None => {
+                let log = ActuationLog::new();
+                entrance_panels.insert(device.lot.to_owned(), log.clone());
+                Box::new(RecordingActuator::new(log))
+            }
+        },
     )?;
-
+    let (lots, process) = city.into_process();
     orch.spawn_process_at("city-dynamics", process, ENVIRONMENT_FIRST_STEP_MS);
     orch.launch()?;
 
@@ -469,16 +411,16 @@ pub fn build(config: ParkingAppConfig) -> Result<ParkingApp, RuntimeError> {
         orchestrator: orch,
         lots,
         entrance_panels,
-        city_panels,
-        messenger,
+        city_panels: devices.city_panels,
+        messenger: devices.messenger,
     })
 }
 
 /// First wake of the environment dynamics, offset from the minute grid
 /// so environment steps never coincide with the 10-minute delivery
 /// instants: a batch then always reflects the model state at its poll
-/// time. The distributed demo pumps ticks to edge environments on the
-/// same grid so both runs step the city at identical sim times.
+/// time. [`deploy::spawn_tick_pump`] ticks edge environments on the
+/// same grid so every deployment steps the city at identical sim times.
 pub const ENVIRONMENT_FIRST_STEP_MS: u64 = 61_000;
 
 #[cfg(test)]

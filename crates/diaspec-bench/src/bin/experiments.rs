@@ -263,14 +263,14 @@ fn e1_latency_breakdown(quick: bool, json: bool) {
     );
     let off_ms = median(
         (0..5)
-            .map(|_| continuum::run_scale(sensors_per_lot, ProcessingMode::Serial).period_wall_ms)
+            .map(|_| continuum::unobserved_run(sensors_per_lot).period_wall_ms)
             .collect(),
     );
     let on_ms = median(runs.iter().map(|r| r.row.period_wall_ms).collect());
     println!(
-        "\nTelemetry off vs on, {} sensors (median period wall time of 5 runs):\n  \
-         off {off_ms:.2} ms (run_scale), on {on_ms:.2} ms (observed_run: tracing + \
-         observability, 20-200 ms transport), on/off {:.2}x",
+        "\nTelemetry off vs on, {} sensors, same transport and run length \
+         (median period wall time of 5 runs):\n  \
+         off {off_ms:.2} ms, on {on_ms:.2} ms (tracing + observability), on/off {:.2}x",
         observed.row.sensors,
         on_ms / off_ms.max(1e-9)
     );
@@ -713,7 +713,12 @@ fn e12_discovery(quick: bool, json: bool) {
         "bind (ms)"
     );
     let mut rows = Vec::new();
-    for entities in [100usize, 1_000, 10_000, if quick { 10_000 } else { 50_000 }] {
+    let sizes: &[usize] = if quick {
+        &[100, 1_000, 10_000]
+    } else {
+        &[100, 1_000, 10_000, 50_000]
+    };
+    for &entities in sizes {
         let row = discovery::run(entities, 10, iters);
         println!(
             "{:>9} {:>7} {:>9} {:>14.1} {:>16.1} {:>12.1} {:>10.1}",

@@ -1,6 +1,7 @@
 //! E21 — chaos soak: orchestration correctness under link faults.
 //!
-//! The parking deployment runs with its edge bridged over a
+//! The parking deployment, wired by `diaspec_apps::parking::deploy`
+//! with one edge hosting every lot, runs with that edge bridged over a
 //! [`ChaosTransport`] that drops, duplicates, delays, reorders, and
 //! corrupts envelopes at a swept rate and cuts the link over two
 //! partition windows — against an at-least-once session link (inline
@@ -18,28 +19,15 @@
 //! zero-fault `ChaosTransport` (the middleware must be transparent),
 //! and over the faulty one. All three summaries must agree.
 
-use diaspec_apps::parking::generated::{Availability, ParkingLotEnum};
-use diaspec_apps::parking::{
-    register_components, ParkingAppConfig, ENVIRONMENT_FIRST_STEP_MS, SPEC,
-};
-use diaspec_devices::common::{ActuationLog, RecordingActuator};
-use diaspec_devices::parking::{ParkingCityModel, ParkingConfig, PresenceSensorDriver, UsageCurve};
+use diaspec_apps::parking::{deploy, ParkingAppConfig};
 use diaspec_runtime::deploy::{
-    BreakerConfig, EdgeRuntime, Link, RemoteDeviceProxy, SessionConfig, SessionStats, TickPump,
+    BreakerConfig, Link, RemoteDeviceProxy, SessionConfig, SessionStats,
 };
-use diaspec_runtime::entity::AttributeMap;
-use diaspec_runtime::transport::{
-    ChaosConfig, ChaosStats, ChaosTransport, Direction, SimTransport, TransportConfig,
-};
-use diaspec_runtime::value::{Value, ValueCodec};
-use diaspec_runtime::{Orchestrator, RetryConfig};
+use diaspec_runtime::transport::{ChaosConfig, ChaosStats, ChaosTransport, Direction};
+use diaspec_runtime::RetryConfig;
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// City-model step cadence (one simulated minute), as in the
-/// distributed parking demo.
-const TICK_MS: u64 = 60_000;
 
 /// Parameters of one chaos soak run.
 #[derive(Debug, Clone)]
@@ -130,13 +118,6 @@ struct SoakOutcome {
     duplicates_absorbed: u64,
 }
 
-fn lot_names() -> Vec<String> {
-    ParkingLotEnum::ALL
-        .iter()
-        .map(|l| l.name().to_owned())
-        .collect()
-}
-
 /// Runs the parking deployment once over the given link mode and
 /// renders its orchestration-level summary.
 fn run_once(config: &ChaosSoakConfig, mode: &LinkMode) -> SoakOutcome {
@@ -144,43 +125,11 @@ fn run_once(config: &ChaosSoakConfig, mode: &LinkMode) -> SoakOutcome {
         sensors_per_lot: config.sensors,
         ..ParkingAppConfig::default()
     };
-    let spec = Arc::new(diaspec_core::compile_str(SPEC).expect("parking spec compiles"));
-    let mut orch = Orchestrator::with_transport(spec, app.transport);
-    register_components(&mut orch, &app).expect("components register");
+    let mut orch = deploy::orchestrator(&app).expect("components register");
 
-    // One edge runtime hosting every lot's devices over a shared city
-    // model, looped back through a SimTransport handler — the same
-    // wiring as the distributed demo's in-process backend.
-    let lots = lot_names();
-    let mut model = ParkingCityModel::new(
-        lots.clone(),
-        ParkingConfig {
-            spaces_per_lot: config.sensors,
-            ..ParkingConfig::default()
-        },
-        UsageCurve::default(),
-    );
-    let mut runtime = EdgeRuntime::new("edge0");
-    for lot in &lots {
-        let cell = model.lot(lot).expect("model lot");
-        for space in 0..config.sensors {
-            runtime.add_device(
-                format!("presence-{lot}-{space}"),
-                Box::new(PresenceSensorDriver::new(cell.clone(), space)),
-            );
-        }
-        runtime.add_device(
-            format!("panel-{lot}"),
-            Box::new(RecordingActuator::new(ActuationLog::new())),
-        );
-    }
-    runtime.on_tick(move |now| model.step(now));
-    let runtime = Arc::new(Mutex::new(runtime));
-    let edge = Arc::clone(&runtime);
-    let mut sim = SimTransport::new(TransportConfig::default());
-    sim.connect_handler(Box::new(move |envelope| {
-        edge.lock().expect("edge runtime lock").handle(envelope)
-    }));
+    // One edge runtime hosting every lot, looped back in-process.
+    let lots = deploy::lot_names();
+    let (sim, runtime) = deploy::loopback(deploy::edge_runtime("edge0", &lots, &app));
 
     // Enough inline attempts that probabilistic faults never exhaust a
     // request at the swept rates — only deterministic partition windows
@@ -219,63 +168,16 @@ fn run_once(config: &ChaosSoakConfig, mode: &LinkMode) -> SoakOutcome {
         }
     };
 
-    orch.begin_deployment();
-    for lot in &lots {
-        let lot_value = Value::enum_value("ParkingLotEnum", lot);
-        for space in 0..config.sensors {
-            let id = format!("presence-{lot}-{space}");
-            let mut attrs = AttributeMap::new();
-            attrs.insert("parkingLot".to_owned(), lot_value.clone());
-            orch.bind_entity(
-                id.clone().into(),
-                "PresenceSensor",
-                attrs,
-                Box::new(RemoteDeviceProxy::new(id, Arc::clone(&link))),
-            )
-            .expect("sensor binds");
-        }
-        let id = format!("panel-{lot}");
-        let mut attrs = AttributeMap::new();
-        attrs.insert("location".to_owned(), lot_value.clone());
-        orch.bind_entity(
-            id.clone().into(),
-            "ParkingEntrancePanel",
-            attrs,
-            Box::new(RemoteDeviceProxy::new(id, Arc::clone(&link))),
-        )
-        .expect("panel binds");
-    }
-    for entrance in diaspec_apps::parking::generated::CityEntranceEnum::ALL {
-        let mut attrs = AttributeMap::new();
-        attrs.insert(
-            "location".to_owned(),
-            Value::enum_value("CityEntranceEnum", entrance.name()),
-        );
-        orch.bind_entity(
-            format!("city-panel-{}", entrance.name()).into(),
-            "CityEntrancePanel",
-            attrs,
-            Box::new(RecordingActuator::new(ActuationLog::new())),
-        )
-        .expect("city panel binds");
-    }
-    let messenger = ActuationLog::new();
-    orch.bind_entity(
-        "messenger-mgmt".into(),
-        "Messenger",
-        AttributeMap::new(),
-        Box::new(RecordingActuator::new(messenger.clone())),
-    )
-    .expect("messenger binds");
-
-    let pump = TickPump::new(vec![Arc::clone(&link)], TICK_MS);
-    let stop = pump.stop_handle();
-    orch.spawn_process_at("tick-pump", pump, ENVIRONMENT_FIRST_STEP_MS);
+    let city = deploy::bind_city(&mut orch, &lots, config.sensors, |device| {
+        Box::new(RemoteDeviceProxy::new(device.id(), Arc::clone(&link)))
+    })
+    .expect("city binds");
+    let stop = deploy::spawn_tick_pump(&mut orch, &app, vec![Arc::clone(&link)]);
     orch.launch().expect("launches");
     orch.run_until(config.hours * 3_600_000);
     stop.stop();
 
-    let summary = render_summary(&mut orch, &messenger);
+    let summary = deploy::summary(&mut orch, &city.messenger);
     let session = link.session_stats().expect("session link");
     let duplicates_absorbed = runtime.lock().expect("edge runtime lock").duplicates();
     link.close();
@@ -285,50 +187,6 @@ fn run_once(config: &ChaosSoakConfig, mode: &LinkMode) -> SoakOutcome {
         chaos: chaos_stats.map(|h| h.get()).unwrap_or_default(),
         duplicates_absorbed,
     }
-}
-
-/// The orchestration-level summary all link modes must agree on —
-/// published contexts, coordinator-local actuations, engine metrics,
-/// surfaced errors.
-fn render_summary(orch: &mut Orchestrator, messenger: &ActuationLog) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let availability: Option<Vec<Availability>> = orch
-        .last_value("ParkingAvailability")
-        .and_then(ValueCodec::from_value);
-    match availability {
-        Some(list) => {
-            let cells: Vec<String> = list
-                .iter()
-                .map(|a| format!("{}={}", a.parking_lot.name(), a.count))
-                .collect();
-            let _ = writeln!(out, "availability: {}", cells.join(" "));
-        }
-        None => out.push_str("availability: none\n"),
-    }
-    let suggestions: Option<Vec<ParkingLotEnum>> = orch
-        .last_value("ParkingSuggestion")
-        .and_then(ValueCodec::from_value);
-    match suggestions {
-        Some(lots) => {
-            let names: Vec<&str> = lots.iter().map(|l| l.name()).collect();
-            let _ = writeln!(out, "suggestions: {}", names.join(", "));
-        }
-        None => out.push_str("suggestions: none\n"),
-    }
-    let _ = writeln!(out, "digests: {}", messenger.count("sendMessage"));
-    let m = orch.metrics();
-    let _ = writeln!(
-        out,
-        "metrics: periodic={} polled={} mapreduce={} publications={} actuations={}",
-        m.periodic_deliveries,
-        m.readings_polled,
-        m.map_reduce_executions,
-        m.publications,
-        m.actuations
-    );
-    let _ = writeln!(out, "errors: {}", orch.drain_errors().len());
-    out
 }
 
 /// Runs one soak scenario: bare link, zero-fault chaos, faulty chaos —

@@ -7,7 +7,7 @@
 //! scale while the application code stays byte-identical.
 
 use crate::median_ns;
-use diaspec_apps::parking::{build, ParkingAppConfig};
+use diaspec_apps::parking::{build, ParkingApp, ParkingAppConfig};
 use diaspec_runtime::obs::write_jsonl;
 use diaspec_runtime::telemetry::{Record, Telemetry};
 use diaspec_runtime::{LatencyHistogram, ObsSnapshot, ProcessingMode, SpanCtx, SpanStage};
@@ -34,26 +34,32 @@ pub struct ContinuumRow {
     pub readings_per_sec: f64,
 }
 
-/// Runs one scale point: `sensors_per_lot` sensors in each of the 8 lots.
-#[must_use]
-pub fn run_scale(sensors_per_lot: usize, processing: ProcessingMode) -> ContinuumRow {
+/// One 10-minute delivery period, in sim-ms.
+const PERIOD_MS: u64 = 10 * 60 * 1000;
+
+/// Builds the parking application from `config` and times its run to
+/// `until_ms`, with tracing and observability on when `telemetry` is
+/// set. Asserts the run surfaced no errors.
+fn timed_run(
+    config: ParkingAppConfig,
+    telemetry: bool,
+    until_ms: u64,
+) -> (ContinuumRow, ParkingApp) {
+    let sensors_per_lot = config.sensors_per_lot;
     let build_start = Instant::now();
-    let mut app = build(ParkingAppConfig {
-        sensors_per_lot,
-        processing,
-        ..ParkingAppConfig::default()
-    })
-    .expect("parking app builds");
+    let mut app = build(config).expect("parking app builds");
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
+    app.orchestrator.set_tracing(telemetry);
+    app.orchestrator.set_observability(telemetry);
 
     let sim_start = Instant::now();
-    app.orchestrator.run_until(10 * 60 * 1000);
+    app.orchestrator.run_until(until_ms);
     let period_wall = sim_start.elapsed();
 
     let m = *app.orchestrator.metrics();
     let errors = app.orchestrator.drain_errors();
     assert!(errors.is_empty(), "continuum run must be clean: {errors:?}");
-    ContinuumRow {
+    let row = ContinuumRow {
         sensors: sensors_per_lot * 8,
         build_ms,
         period_wall_ms: period_wall.as_secs_f64() * 1e3,
@@ -61,7 +67,19 @@ pub fn run_scale(sensors_per_lot: usize, processing: ProcessingMode) -> Continuu
         publications: m.publications,
         actuations: m.actuations,
         readings_per_sec: m.readings_polled as f64 / period_wall.as_secs_f64().max(1e-9),
-    }
+    };
+    (row, app)
+}
+
+/// Runs one scale point: `sensors_per_lot` sensors in each of the 8 lots.
+#[must_use]
+pub fn run_scale(sensors_per_lot: usize, processing: ProcessingMode) -> ContinuumRow {
+    let config = ParkingAppConfig {
+        sensors_per_lot,
+        processing,
+        ..ParkingAppConfig::default()
+    };
+    timed_run(config, false, PERIOD_MS).0
 }
 
 /// The default scale sweep of experiment E1.
@@ -85,25 +103,15 @@ pub struct ObservedRun {
     pub trace_lines: u64,
 }
 
-/// Runs one E1 scale point with full observability: activity-duration
-/// recording and tracing on, then every drained trace event plus the
-/// final snapshot written as JSON Lines to `trace_path`.
-///
-/// The transport models a city-scale low-power WAN (uniform 20–200 ms
-/// per hop) so the delivery histogram exercises a realistic spread
-/// rather than the ideal zero-latency default.
-///
-/// # Errors
-///
-/// Propagates trace-file write errors, and refuses to write a truncated
-/// trace when the bounded trace buffer dropped events.
-pub fn observed_run(
-    sensors_per_lot: usize,
-    trace_path: &std::path::Path,
-) -> std::io::Result<ObservedRun> {
+/// The observed E1 scale point on a city-scale low-power WAN (uniform
+/// 20–200 ms per hop, so the delivery histogram exercises a realistic
+/// spread rather than the ideal zero-latency default), run one second
+/// past the 10-minute period: with 20-200 ms hops, batches polled at the
+/// period boundary are still in flight at exactly 10 min and the
+/// processing/actuation tail would be cut off.
+fn lpwan_run(sensors_per_lot: usize, telemetry: bool) -> (ContinuumRow, ParkingApp) {
     use diaspec_runtime::transport::{LatencyModel, TransportConfig};
-    let build_start = Instant::now();
-    let mut app = build(ParkingAppConfig {
+    let config = ParkingAppConfig {
         sensors_per_lot,
         processing: ProcessingMode::Serial,
         transport: TransportConfig {
@@ -115,20 +123,32 @@ pub fn observed_run(
             seed: 1,
         },
         ..ParkingAppConfig::default()
-    })
-    .expect("parking app builds");
-    let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
+    };
+    timed_run(config, telemetry, PERIOD_MS + 1_000)
+}
 
-    app.orchestrator.set_tracing(true);
-    app.orchestrator.set_observability(true);
+/// The observed E1 scale point with telemetry off: the same transport,
+/// seed and run length as [`observed_run`], so the two differ only in
+/// tracing and observability.
+#[must_use]
+pub fn unobserved_run(sensors_per_lot: usize) -> ContinuumRow {
+    lpwan_run(sensors_per_lot, false).0
+}
 
-    let sim_start = Instant::now();
-    // One second of drain slack past the 10-minute period: with 20-200 ms
-    // hops, batches polled at the period boundary are still in flight at
-    // exactly 10 min and the processing/actuation tail would be cut off.
-    app.orchestrator.run_until(10 * 60 * 1000 + 1_000);
-    let period_wall = sim_start.elapsed();
-
+/// Runs the observed E1 scale point with full observability:
+/// activity-duration recording and tracing on, then every drained trace
+/// event plus the final snapshot written as JSON Lines to `trace_path`
+/// (outside the timed window).
+///
+/// # Errors
+///
+/// Propagates trace-file write errors, and refuses to write a truncated
+/// trace when the bounded trace buffer dropped events.
+pub fn observed_run(
+    sensors_per_lot: usize,
+    trace_path: &std::path::Path,
+) -> std::io::Result<ObservedRun> {
+    let (row, mut app) = lpwan_run(sensors_per_lot, true);
     let dropped = app.orchestrator.trace_dropped();
     if dropped > 0 {
         return Err(std::io::Error::other(format!(
@@ -139,20 +159,8 @@ pub fn observed_run(
     let (trace, spans) = (app.orchestrator.take_trace(), app.orchestrator.take_spans());
     let file = std::io::BufWriter::new(std::fs::File::create(trace_path)?);
     let trace_lines = write_jsonl(file, &trace, &spans, &snapshot)?;
-
-    let m = *app.orchestrator.metrics();
-    let errors = app.orchestrator.drain_errors();
-    assert!(errors.is_empty(), "observed run must be clean: {errors:?}");
     Ok(ObservedRun {
-        row: ContinuumRow {
-            sensors: sensors_per_lot * 8,
-            build_ms,
-            period_wall_ms: period_wall.as_secs_f64() * 1e3,
-            readings: m.readings_polled,
-            publications: m.publications,
-            actuations: m.actuations,
-            readings_per_sec: m.readings_polled as f64 / period_wall.as_secs_f64().max(1e-9),
-        },
+        row,
         snapshot,
         trace_lines,
     })

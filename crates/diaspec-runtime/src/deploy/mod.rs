@@ -19,9 +19,9 @@
 //!   node stops answering);
 //! - [`EdgeRuntime`] — the edge side: owns the node's device drivers
 //!   and environment-stepping hooks and answers envelopes, either over
-//!   a real socket ([`serve_edge`]) or as an in-process handler on the
-//!   simulated backend (which is how deployment wiring is unit-tested
-//!   without opening sockets);
+//!   a real socket (under a [`Supervisor`]) or as an in-process handler
+//!   on the simulated backend (which is how deployment wiring is
+//!   unit-tested without opening sockets);
 //! - [`TickPump`] — a coordinator-side [`Process`] that forwards sim
 //!   time to edge environments at a fixed cadence, keeping the whole
 //!   distributed run a single discrete-event simulation driven by the
@@ -34,10 +34,10 @@
 //!   [`EdgeRuntime`]: an ack-pruned idempotency cache that answers
 //!   duplicate `Invoke`/`Tick` envelopes from cached replies, turning
 //!   at-least-once delivery into exactly-once effects;
-//! - [`supervisor`] — the edge-side [`Supervisor`] that replaces
-//!   fire-and-forget [`serve_edge`]: it re-accepts after coordinator
-//!   disconnects (session resumption) and rebuilds a crashed runtime
-//!   under a bounded restart policy.
+//! - [`supervisor`] — the edge-side [`Supervisor`] that serves a
+//!   socket: it re-accepts after coordinator disconnects (session
+//!   resumption) and rebuilds a crashed runtime under a bounded restart
+//!   policy.
 
 pub mod session;
 pub mod supervisor;
@@ -54,7 +54,6 @@ use crate::transport::{Envelope, MessageKind, Transport, TransportError, Transpo
 use crate::value::Value;
 use session::SessionState;
 use std::collections::BTreeMap;
-use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -256,7 +255,7 @@ pub type TickHook = Box<dyn FnMut(SimTime) + Send>;
 ///
 /// Owns local device drivers and environment hooks, and answers the
 /// coordinator's envelopes. The same runtime serves a real socket
-/// ([`serve_edge`]) or acts as the in-process peer of a
+/// (under a [`Supervisor`]) or acts as the in-process peer of a
 /// [`SimTransport`](crate::transport::SimTransport) handler — the
 /// deployment wiring is identical either way.
 pub struct EdgeRuntime {
@@ -427,26 +426,6 @@ impl EdgeRuntime {
             }
         }
     }
-}
-
-/// Serves one coordinator connection on `listener` to completion:
-/// accepts, answers envelopes through `runtime`, and returns when the
-/// coordinator disconnects, says `Bye`, or the runtime's death schedule
-/// triggers (the connection is dropped without a reply, like a killed
-/// process).
-///
-/// # Errors
-///
-/// Returns [`TransportError::Io`] on accept/read/write failures and
-/// [`TransportError::Frame`] on malformed frames.
-pub fn serve_edge(
-    listener: &TcpListener,
-    runtime: &mut EdgeRuntime,
-) -> Result<TransportStats, TransportError> {
-    let (mut stream, _addr) = listener
-        .accept()
-        .map_err(|e| TransportError::Io(e.to_string()))?;
-    crate::transport::serve_connection(&mut stream, |envelope| runtime.handle(envelope))
 }
 
 /// A coordinator-side [`Process`] that forwards sim time to edge

@@ -1,10 +1,9 @@
 //! Edge-node supervision: restart-on-crash and session resumption.
 //!
-//! [`serve_edge`](super::serve_edge) is fire-and-forget: one accepted
-//! connection, served to completion, and the process is done — a
-//! coordinator reconnect or a crashed runtime both end the node. The
-//! [`Supervisor`] replaces that with the managed lifecycle the paper's
-//! city-scale deployments need:
+//! Serving one accepted connection to completion would end an edge node
+//! on the first coordinator reconnect or runtime crash. The
+//! [`Supervisor`] serves an [`EdgeRuntime`] over a socket with the
+//! managed lifecycle the paper's city-scale deployments need:
 //!
 //! - **session resumption** — when the coordinator disconnects without
 //!   an orderly `Bye` (network blip, coordinator-side reconnect), the

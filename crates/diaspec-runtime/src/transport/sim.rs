@@ -104,9 +104,6 @@ impl SendOutcome {
 pub struct SimTransport {
     config: TransportConfig,
     rng: StdRng,
-    delivered: u64,
-    dropped: u64,
-    total_latency_ms: u128,
     /// In-process peer for trait-level [`exchange`](super::Transport::exchange)
     /// calls; `None` answers every delivered envelope with a plain `Ok`.
     handler: Option<SimHandler>,
@@ -118,8 +115,6 @@ impl fmt::Debug for SimTransport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimTransport")
             .field("config", &self.config)
-            .field("delivered", &self.delivered)
-            .field("dropped", &self.dropped)
             .field("handler", &self.handler.as_ref().map(|_| "..."))
             .finish_non_exhaustive()
     }
@@ -148,9 +143,6 @@ impl SimTransport {
         SimTransport {
             config,
             rng: StdRng::seed_from_u64(config.seed),
-            delivered: 0,
-            dropped: 0,
-            total_latency_ms: 0,
             handler: None,
             link_stats: TransportStats::default(),
         }
@@ -170,8 +162,10 @@ impl SimTransport {
         self.config
     }
 
-    /// Samples loss and latency without touching the counters.
-    fn sample_delivery(&mut self) -> Option<SimTime> {
+    /// Samples the fate of one message: `Some(latency)` when delivered,
+    /// `None` when lost. Delivery counts and latency totals are the
+    /// engine's to record (`RuntimeMetrics`), not the transport's.
+    pub fn send(&mut self) -> Option<SimTime> {
         if self.config.loss_probability > 0.0
             && self.rng.gen::<f64>() < self.config.loss_probability
         {
@@ -184,65 +178,28 @@ impl SimTransport {
         })
     }
 
-    fn record_delivery(&mut self, latency: SimTime) {
-        self.delivered += 1;
-        self.total_latency_ms += u128::from(latency);
-    }
-
-    /// Samples the fate of one message: `Some(latency)` when delivered,
-    /// `None` when lost.
-    pub fn send(&mut self) -> Option<SimTime> {
-        match self.sample_delivery() {
-            Some(latency) => {
-                self.record_delivery(latency);
-                Some(latency)
-            }
-            None => {
-                self.dropped += 1;
-                None
-            }
-        }
-    }
-
     /// Sends one message across a link with fault injection layered on:
     /// the injector decides drop/delay/duplication first (seeded
     /// independently of the transport, so fault-free paths are
     /// unaffected), then the transport's own loss and latency apply.
-    /// Injected extra delay is accounted in the latency statistics.
+    /// Injected extra delay is included in the delivery latency.
     pub fn send_through(&mut self, faults: &mut FaultInjector) -> SendOutcome {
         match faults.message_fate() {
-            MessageFate::Drop => {
-                self.dropped += 1;
-                SendOutcome {
-                    delivery: None,
-                    duplicate: None,
-                    fault_dropped: true,
-                    extra_delay_ms: 0,
-                }
-            }
+            MessageFate::Drop => SendOutcome {
+                delivery: None,
+                duplicate: None,
+                fault_dropped: true,
+                extra_delay_ms: 0,
+            },
             MessageFate::Deliver {
                 extra_delay_ms,
                 duplicated,
             } => {
-                let delivery = match self.sample_delivery() {
-                    Some(latency) => {
-                        let total = latency.saturating_add(extra_delay_ms);
-                        self.record_delivery(total);
-                        Some(total)
-                    }
-                    None => {
-                        self.dropped += 1;
-                        None
-                    }
-                };
+                let delivery = self
+                    .send()
+                    .map(|latency| latency.saturating_add(extra_delay_ms));
                 // The duplicate copy takes its own independent path.
-                let duplicate = if duplicated {
-                    self.sample_delivery().inspect(|&latency| {
-                        self.record_delivery(latency);
-                    })
-                } else {
-                    None
-                };
+                let duplicate = if duplicated { self.send() } else { None };
                 SendOutcome {
                     delivery,
                     duplicate,
@@ -254,28 +211,6 @@ impl SimTransport {
                     },
                 }
             }
-        }
-    }
-
-    /// Messages delivered so far.
-    #[must_use]
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Messages dropped so far.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Mean latency of delivered messages, in milliseconds.
-    #[must_use]
-    pub fn mean_latency_ms(&self) -> f64 {
-        if self.delivered == 0 {
-            0.0
-        } else {
-            self.total_latency_ms as f64 / self.delivered as f64
         }
     }
 }
@@ -343,9 +278,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(t.send(), Some(0));
         }
-        assert_eq!(t.delivered(), 100);
-        assert_eq!(t.dropped(), 0);
-        assert_eq!(t.mean_latency_ms(), 0.0);
     }
 
     #[test]
@@ -354,8 +286,9 @@ mod tests {
             latency: LatencyModel::Fixed(25),
             ..TransportConfig::default()
         });
-        assert_eq!(t.send(), Some(25));
-        assert_eq!(t.mean_latency_ms(), 25.0);
+        for _ in 0..10 {
+            assert_eq!(t.send(), Some(25));
+        }
     }
 
     #[test]
@@ -368,11 +301,9 @@ mod tests {
             seed: 42,
             ..TransportConfig::default()
         });
-        for _ in 0..1000 {
-            let l = t.send().unwrap();
-            assert!((10..=50).contains(&l));
-        }
-        let mean = t.mean_latency_ms();
+        let latencies: Vec<SimTime> = (0..1000).map(|_| t.send().unwrap()).collect();
+        assert!(latencies.iter().all(|l| (10..=50).contains(l)));
+        let mean = latencies.iter().sum::<SimTime>() as f64 / latencies.len() as f64;
         assert!((25.0..35.0).contains(&mean), "mean {mean} implausible");
     }
 
@@ -383,10 +314,8 @@ mod tests {
             seed: 7,
             ..TransportConfig::default()
         });
-        for _ in 0..10_000 {
-            let _ = t.send();
-        }
-        let drop_rate = t.dropped() as f64 / 10_000.0;
+        let dropped = (0..10_000).filter(|_| t.send().is_none()).count();
+        let drop_rate = dropped as f64 / 10_000.0;
         assert!((0.27..0.33).contains(&drop_rate), "drop rate {drop_rate}");
     }
 
@@ -414,27 +343,27 @@ mod tests {
             latency: LatencyModel::Fixed(10),
             ..TransportConfig::default()
         });
-        // A guaranteed delay fault adds to the transport latency and is
-        // accounted in the latency statistics.
+        // A guaranteed delay fault adds to the transport latency.
         let mut inj = FaultInjector::new(FaultPlan::seeded(3).delay_messages(1.0, 90));
         let out = t.send_through(&mut inj);
         assert_eq!(out.delivery, Some(100));
+        assert_eq!(out.duplicate, None);
         assert_eq!(out.extra_delay_ms, 90);
         assert!(!out.fault_dropped);
-        assert_eq!(t.mean_latency_ms(), 100.0);
         // A guaranteed drop fault loses the message without consuming
         // the transport's loss sample.
         let mut inj = FaultInjector::new(FaultPlan::seeded(3).drop_messages(1.0));
         let out = t.send_through(&mut inj);
         assert_eq!(out.delivery, None);
+        assert_eq!(out.duplicate, None);
+        assert_eq!(out.extra_delay_ms, 0);
         assert!(out.fault_dropped);
         // A guaranteed duplicate delivers two copies.
         let mut inj = FaultInjector::new(FaultPlan::seeded(3).duplicate_messages(1.0));
         let out = t.send_through(&mut inj);
         assert_eq!(out.delivery, Some(10));
         assert_eq!(out.duplicate, Some(10));
-        assert_eq!(t.delivered(), 3);
-        assert_eq!(t.dropped(), 1);
+        assert!(!out.fault_dropped);
     }
 
     #[test]

@@ -15,9 +15,12 @@
 //! ```
 //!
 //! Both roles print the same orchestration-level summary: the backends
-//! must be observationally identical. Every edge replicates the whole
+//! must be observationally identical. The wiring is the parking
+//! application's own ([`diaspec_apps::parking::deploy`]), shared with
+//! the single-process `build`. Every edge replicates the whole
 //! deterministic city model (same seed) and steps it on coordinator
-//! `Tick`s, so lot trajectories match the single-process run exactly.
+//! `Tick`s, so lot trajectories match the single-process run exactly
+//! (pinned by `looped_edge_summary_equals_single_process_build`).
 //!
 //! `--die-at MS` makes an edge play dead from that sim time; with
 //! `--recover`, the coordinator runs leases plus coordinator-local
@@ -34,30 +37,19 @@
 //! byte-identical to the fault-free run — ticks queue in the session's
 //! replay queue and land, in order, once the window closes.
 
-use diaspec_apps::parking::{
-    register_components, ParkingAppConfig, ENVIRONMENT_FIRST_STEP_MS, SPEC,
-};
+use diaspec_apps::parking::deploy;
+use diaspec_apps::parking::{ParkingAppConfig, ENVIRONMENT_FIRST_STEP_MS};
 use diaspec_codegen::deploy::{EdgeManifest, NodeManifest};
-use diaspec_devices::common::{ActuationLog, RecordingActuator};
-use diaspec_devices::parking::{ParkingCityModel, ParkingConfig, PresenceSensorDriver, UsageCurve};
 use diaspec_runtime::deploy::{
     BreakerConfig, EdgeRuntime, Link, RemoteDeviceProxy, RestartPolicy, SessionConfig, Supervisor,
-    TickPump,
 };
-use diaspec_runtime::entity::AttributeMap;
 use diaspec_runtime::obs::render_prometheus;
-use diaspec_runtime::transport::{
-    ChaosConfig, ChaosTransport, Direction, SimTransport, Transport, TransportConfig,
-};
-use diaspec_runtime::value::Value;
-use diaspec_runtime::{Orchestrator, RecoveryConfig, RetryConfig, TcpTransport, TransportSample};
+use diaspec_runtime::transport::{ChaosConfig, ChaosTransport, Direction, Transport};
+use diaspec_runtime::{RecoveryConfig, RetryConfig, TcpTransport, TransportSample};
 use std::collections::BTreeMap;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// City-model step cadence: one simulated minute, pumped to the edges.
-const TICK_MS: u64 = 60_000;
 /// Lease TTL for `--recover`: 2.5 missed 10-minute polls.
 const LEASE_TTL_MS: u64 = 1_500_000;
 
@@ -162,55 +154,20 @@ impl Options {
         }
         Ok(options)
     }
-}
 
-/// A fresh replica of the deterministic city model. Every node builds
-/// the same one (same seed), so lot trajectories agree everywhere.
-fn city_replica(sensors: usize) -> ParkingCityModel {
-    let lot_names: Vec<String> = lot_names();
-    let config = ParkingConfig {
-        spaces_per_lot: sensors,
-        ..ParkingConfig::default()
-    };
-    ParkingCityModel::new(lot_names, config, UsageCurve::default())
-}
-
-fn lot_names() -> Vec<String> {
-    use diaspec_apps::parking::generated::ParkingLotEnum;
-    ParkingLotEnum::ALL
-        .iter()
-        .map(|l| l.name().to_owned())
-        .collect()
-}
-
-fn city_entrances() -> Vec<String> {
-    use diaspec_apps::parking::generated::CityEntranceEnum;
-    CityEntranceEnum::ALL
-        .iter()
-        .map(|e| e.name().to_owned())
-        .collect()
-}
-
-/// Builds one edge node's runtime: drivers for its lot shards over a
-/// full model replica stepped on coordinator ticks.
-fn edge_runtime(edge: &EdgeManifest, sensors: usize, die_at: Option<u64>) -> EdgeRuntime {
-    let mut model = city_replica(sensors);
-    let mut runtime = EdgeRuntime::new(edge.name.clone());
-    for lot in &edge.shards {
-        let cell = model.lot(lot).expect("manifest shard is a model lot");
-        for space in 0..sensors {
-            runtime.add_device(
-                format!("presence-{lot}-{space}"),
-                Box::new(PresenceSensorDriver::new(cell.clone(), space)),
-            );
+    fn app_config(&self) -> ParkingAppConfig {
+        ParkingAppConfig {
+            sensors_per_lot: self.sensors,
+            ..ParkingAppConfig::default()
         }
-        runtime.add_device(
-            format!("panel-{lot}"),
-            Box::new(RecordingActuator::new(ActuationLog::new())),
-        );
     }
-    runtime.on_tick(move |now| model.step(now));
-    if let Some(die_at) = die_at {
+}
+
+/// Builds one edge node's runtime for its lot shards, armed with the
+/// `--die-at` schedule.
+fn edge_node(edge: &EdgeManifest, options: &Options) -> EdgeRuntime {
+    let mut runtime = deploy::edge_runtime(edge.name.clone(), &edge.shards, &options.app_config());
+    if let Some(die_at) = options.die_at {
         runtime.set_die_at(die_at);
     }
     runtime
@@ -237,9 +194,7 @@ fn run_edge(manifest: &NodeManifest, options: &Options) -> Result<(), Box<dyn st
     // The death schedule stays armed across rebuilds: a node killed on
     // schedule stays dead, so the coordinator's lease/standby recovery
     // is what brings the lots back, exactly as in the in-process run.
-    let report = supervisor.serve(&listener, |_generation| {
-        edge_runtime(edge, options.sensors, options.die_at)
-    })?;
+    let report = supervisor.serve(&listener, |_generation| edge_node(edge, options))?;
     if report.restarts > 0 {
         eprintln!(
             "{}: {} restart(s) over {} connection(s){}",
@@ -317,13 +272,8 @@ fn run_coordinator(
     options: &Options,
     backend: Backend,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let config = ParkingAppConfig {
-        sensors_per_lot: options.sensors,
-        ..ParkingAppConfig::default()
-    };
-    let spec = Arc::new(diaspec_core::compile_str(SPEC)?);
-    let mut orch = Orchestrator::with_transport(spec, config.transport);
-    register_components(&mut orch, &config)?;
+    let config = options.app_config();
+    let mut orch = deploy::orchestrator(&config)?;
 
     // One link per edge node. In-process: the very same EdgeRuntime
     // wiring, looped back through a SimTransport handler.
@@ -333,6 +283,8 @@ fn run_coordinator(
         timeout_ms: 1_000,
     };
     let mut links: BTreeMap<String, Arc<Link>> = BTreeMap::new();
+    let mut lots = Vec::new();
+    let mut link_of_lot = BTreeMap::new();
     for edge in &manifest.edges {
         let link = match backend {
             Backend::Tcp => build_link(
@@ -341,18 +293,13 @@ fn run_coordinator(
                 options,
             ),
             Backend::InProcess => {
-                let runtime = Arc::new(Mutex::new(edge_runtime(
-                    edge,
-                    options.sensors,
-                    options.die_at,
-                )));
-                let mut sim = SimTransport::new(TransportConfig::default());
-                sim.connect_handler(Box::new(move |envelope| {
-                    runtime.lock().expect("edge runtime lock").handle(envelope)
-                }));
-                build_link(sim, edge, options)
+                build_link(deploy::loopback(edge_node(edge, options)).0, edge, options)
             }
         };
+        for lot in &edge.shards {
+            lots.push(lot.clone());
+            link_of_lot.insert(lot.clone(), Arc::clone(&link));
+        }
         links.insert(edge.name.clone(), link);
     }
 
@@ -361,114 +308,30 @@ fn run_coordinator(
         orch.enable_recovery(RecoveryConfig::default().with_leases(LEASE_TTL_MS))?;
     }
 
-    // Stop handles for the tick sources, flipped before the links say
-    // `Bye` so no tick races the orderly shutdown.
-    let mut pump_stop = None;
-    let step_stop = Arc::new(AtomicBool::new(false));
-
-    orch.begin_deployment();
     // Sharded families: one remote proxy per entity, over the link of
-    // the edge that hosts its lot.
-    for edge in &manifest.edges {
-        let link = &links[&edge.name];
-        for lot in &edge.shards {
-            let lot_value = Value::enum_value("ParkingLotEnum", lot);
-            for space in 0..options.sensors {
-                let id = format!("presence-{lot}-{space}");
-                let mut attrs = AttributeMap::new();
-                attrs.insert("parkingLot".to_owned(), lot_value.clone());
-                orch.bind_entity(
-                    id.clone().into(),
-                    "PresenceSensor",
-                    attrs,
-                    Box::new(RemoteDeviceProxy::new(id, Arc::clone(link))),
-                )?;
-            }
-            let id = format!("panel-{lot}");
-            let mut attrs = AttributeMap::new();
-            attrs.insert("location".to_owned(), lot_value.clone());
-            orch.bind_entity(
-                id.clone().into(),
-                "ParkingEntrancePanel",
-                attrs,
-                Box::new(RemoteDeviceProxy::new(id, Arc::clone(link))),
-            )?;
-        }
-    }
-    // Coordinator-local devices: city entrance panels and the messenger.
-    for entrance in city_entrances() {
-        let mut attrs = AttributeMap::new();
-        attrs.insert(
-            "location".to_owned(),
-            Value::enum_value("CityEntranceEnum", &entrance),
-        );
-        orch.bind_entity(
-            format!("city-panel-{entrance}").into(),
-            "CityEntrancePanel",
-            attrs,
-            Box::new(RecordingActuator::new(ActuationLog::new())),
-        )?;
-    }
-    let messenger = ActuationLog::new();
-    orch.bind_entity(
-        "messenger-mgmt".into(),
-        "Messenger",
-        AttributeMap::new(),
-        Box::new(RecordingActuator::new(messenger.clone())),
-    )?;
-
+    // the edge that hosts its lot; city entrance panels and the
+    // messenger stay coordinator-local.
+    let city = deploy::bind_city(&mut orch, &lots, options.sensors, |device| {
+        Box::new(RemoteDeviceProxy::new(
+            device.id(),
+            Arc::clone(&link_of_lot[device.lot]),
+        ))
+    })?;
     if options.recover {
-        // Coordinator-local standbys over yet another model replica:
-        // when an edge dies and leases expire, the registry promotes
-        // these and the orchestration continues on identical data.
-        let standby_model = city_replica(options.sensors);
-        let cells: BTreeMap<String, _> = lot_names()
-            .into_iter()
-            .map(|lot| {
-                let cell = standby_model.lot(&lot).expect("replica lot");
-                (lot, cell)
-            })
-            .collect();
-        for edge in &manifest.edges {
-            for lot in &edge.shards {
-                let lot_value = Value::enum_value("ParkingLotEnum", lot);
-                for space in 0..options.sensors {
-                    let mut attrs = AttributeMap::new();
-                    attrs.insert("parkingLot".to_owned(), lot_value.clone());
-                    orch.register_standby(
-                        format!("standby-presence-{lot}-{space}").into(),
-                        "PresenceSensor",
-                        attrs,
-                        Box::new(PresenceSensorDriver::new(cells[lot].clone(), space)),
-                    )?;
-                }
-                let mut attrs = AttributeMap::new();
-                attrs.insert("location".to_owned(), lot_value.clone());
-                orch.register_standby(
-                    format!("standby-panel-{lot}").into(),
-                    "ParkingEntrancePanel",
-                    attrs,
-                    Box::new(RecordingActuator::new(ActuationLog::new())),
-                )?;
-            }
-        }
-        let mut hook_model = standby_model;
-        let pump_links: Vec<Arc<Link>> = links.values().map(Arc::clone).collect();
-        orch.spawn_process_at(
-            "standby-city",
-            StepAnd {
-                step: Box::new(move |now| hook_model.step(now)),
-                links: pump_links,
-                period_ms: TICK_MS,
-                stopped: Arc::clone(&step_stop),
-            },
-            ENVIRONMENT_FIRST_STEP_MS,
-        );
-    } else {
-        let pump = TickPump::new(links.values().map(Arc::clone).collect(), TICK_MS);
-        pump_stop = Some(pump.stop_handle());
-        orch.spawn_process_at("tick-pump", pump, ENVIRONMENT_FIRST_STEP_MS);
+        // Coordinator-local standbys over yet another model replica,
+        // stepped on the edges' grid: when an edge dies and leases
+        // expire, the registry promotes these and the orchestration
+        // continues on identical data.
+        let standby_model = deploy::city_model(&config);
+        deploy::register_standbys(&mut orch, &lots, options.sensors, |device| {
+            deploy::local_driver(&standby_model, device)
+        })?;
+        let (_, process) = standby_model.into_process();
+        orch.spawn_process_at("standby-city", process, ENVIRONMENT_FIRST_STEP_MS);
     }
+    // Stopped before the links say `Bye` so no tick races the orderly
+    // shutdown.
+    let pump_stop = deploy::spawn_tick_pump(&mut orch, &config, links.values().cloned().collect());
     orch.launch()?;
 
     eprintln!(
@@ -478,12 +341,20 @@ fn run_coordinator(
         links.values().next().map_or("?", |l| l.backend()),
     );
     orch.run_until(options.hours * 3_600_000);
-    if let Some(stop) = &pump_stop {
-        stop.stop();
-    }
-    step_stop.store(true, Ordering::Relaxed);
+    pump_stop.stop();
 
-    print_summary(&mut orch, &messenger, options);
+    print!("{}", deploy::summary(&mut orch, &city.messenger));
+    if options.recover {
+        let mut lease_lines = 0usize;
+        for event in orch.take_trace() {
+            let line = event.to_string();
+            if line.contains("lease ") || line.contains("rebind ") {
+                println!("trace: {}", line.trim());
+                lease_lines += 1;
+            }
+        }
+        println!("recovery events: {lease_lines}");
+    }
     let mut snapshot = orch.observation();
     for (name, link) in &links {
         let sample = TransportSample::from_stats(name, link.backend(), &link.stats());
@@ -500,84 +371,4 @@ fn run_coordinator(
         eprintln!("{line}");
     }
     Ok(())
-}
-
-/// A process stepping the coordinator's standby replica *and* pumping
-/// ticks, keeping both environments on exactly the same grid.
-struct StepAnd {
-    step: Box<dyn FnMut(u64) + Send>,
-    links: Vec<Arc<Link>>,
-    period_ms: u64,
-    stopped: Arc<AtomicBool>,
-}
-
-impl diaspec_runtime::process::Process for StepAnd {
-    fn wake(&mut self, api: &mut diaspec_runtime::engine::ProcessApi<'_>) -> Option<u64> {
-        if self.stopped.load(Ordering::Relaxed) {
-            return None;
-        }
-        let now = api.now();
-        (self.step)(now);
-        for link in &self.links {
-            let _ = link.request(|seq| diaspec_runtime::Envelope::tick(seq, now));
-        }
-        Some(now + self.period_ms)
-    }
-}
-
-/// The orchestration-level summary both backends must agree on, built
-/// only from coordinator-side observations (published values, local
-/// actuation logs, engine metrics).
-fn print_summary(orch: &mut Orchestrator, messenger: &ActuationLog, options: &Options) {
-    use diaspec_apps::parking::generated::{Availability, ParkingLotEnum};
-    use diaspec_runtime::value::ValueCodec;
-
-    let availability: Option<Vec<Availability>> = orch
-        .last_value("ParkingAvailability")
-        .and_then(ValueCodec::from_value);
-    match availability {
-        Some(list) => {
-            let cells: Vec<String> = list
-                .iter()
-                .map(|a| format!("{}={}", a.parking_lot.name(), a.count))
-                .collect();
-            println!("availability: {}", cells.join(" "));
-        }
-        None => println!("availability: none"),
-    }
-    let suggestions: Option<Vec<ParkingLotEnum>> = orch
-        .last_value("ParkingSuggestion")
-        .and_then(ValueCodec::from_value);
-    match suggestions {
-        Some(lots) => {
-            let names: Vec<&str> = lots.iter().map(|l| l.name()).collect();
-            println!("suggestions: {}", names.join(", "));
-        }
-        None => println!("suggestions: none"),
-    }
-    println!("digests: {}", messenger.count("sendMessage"));
-
-    let m = orch.metrics();
-    println!(
-        "metrics: periodic={} polled={} mapreduce={} publications={} actuations={}",
-        m.periodic_deliveries,
-        m.readings_polled,
-        m.map_reduce_executions,
-        m.publications,
-        m.actuations
-    );
-    let errors = orch.drain_errors();
-    println!("errors: {}", errors.len());
-
-    if options.recover {
-        let mut lease_lines = 0usize;
-        for event in orch.take_trace() {
-            let line = event.to_string();
-            if line.contains("lease ") || line.contains("rebind ") {
-                println!("trace: {}", line.trim());
-                lease_lines += 1;
-            }
-        }
-        println!("recovery events: {lease_lines}");
-    }
 }
